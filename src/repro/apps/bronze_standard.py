@@ -216,7 +216,6 @@ class BronzeStandardApplication:
         journal=None,
         resume: bool = False,
         crash_after: Optional[int] = None,
-        profiler=None,
     ) -> EnactmentResult:
         """Run the workflow under *config* over *n_pairs* image pairs.
 
@@ -233,11 +232,6 @@ class BronzeStandardApplication:
         journal's completed invocations before executing the rest.
         *crash_after* raises a simulated crash once that many new
         invocations completed (crash-resume testing).
-
-        A *profiler* (:class:`~repro.observability.profiling.Profiler`)
-        is installed across the whole stack — engine, grid, broker,
-        enactor, and the bus if one is attached — for the duration of
-        the enactment.
         """
         if dataset is None:
             dataset = self.build_dataset(n_pairs, method_to_test=method_to_test)
@@ -251,17 +245,6 @@ class BronzeStandardApplication:
             journal=journal,
             crash_after_n_invocations=crash_after,
         )
-        if profiler is not None:
-            from repro.observability.profiling import install
-
-            install(
-                profiler,
-                self.engine,
-                self.grid,
-                self.grid.broker,
-                enactor,
-                instrumentation,
-            )
         if resume:
             return enactor.resume(dataset)
         return enactor.run(dataset)

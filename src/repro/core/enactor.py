@@ -210,10 +210,6 @@ class MoteurEnactor:
         self.config = config or OptimizationConfig.nop()
         self.grid = grid
         self.instrumentation = instrumentation
-        #: hot-path profiler (repro.observability.profiling); installed
-        #: by ``profiling.install`` / the service scheduler.  None keeps
-        #: every instrumented site at one attribute test of overhead.
-        self.profiler = None
         #: extra attributes stamped on the run span (e.g. tenant / run id)
         self.run_attributes: Dict[str, Any] = dict(run_attributes or {})
         #: whether this enactor claims the bus-wide ``run_span`` slot.
@@ -498,14 +494,11 @@ class MoteurEnactor:
                 self.grid.add_input_file(file)
 
     def _emit_sources(self, dataset: InputDataSet) -> None:
-        profiler = self.profiler
         for source in self.workflow.sources():
             items = dataset.items(source.name)
             state = self._states[source.name]
             port = source.effective_output_ports()[0]
             for index, item in enumerate(items):
-                if profiler is not None:
-                    profiler.count("enactor.tokens")
                 token = DataToken(
                     data=item.grid_data(), history=HistoryTree.leaf(source.name, index)
                 )
@@ -522,23 +515,11 @@ class MoteurEnactor:
 
     # -- token flow ---------------------------------------------------------------
     def _deliver(self, from_processor: str, out_port: str, token: DataToken) -> None:
-        profiler = self.profiler
-        if profiler is None:
-            fanout = 0
-            for link in self.workflow.links_out_of(from_processor, out_port):
-                self._accept(link.target.processor, link.target.port, token)
-                fanout += 1
-            self._note_routed_bytes(token, fanout)
-            return
-        profiler.enter("enactor.route")
-        try:
-            fanout = 0
-            for link in self.workflow.links_out_of(from_processor, out_port):
-                self._accept(link.target.processor, link.target.port, token)
-                fanout += 1
-            self._note_routed_bytes(token, fanout)
-        finally:
-            profiler.exit()
+        fanout = 0
+        for link in self.workflow.links_out_of(from_processor, out_port):
+            self._accept(link.target.processor, link.target.port, token)
+            fanout += 1
+        self._note_routed_bytes(token, fanout)
 
     def _note_routed_bytes(self, token: DataToken, fanout: int) -> None:
         """Account the enactor-routed data volume of one delivery.
@@ -654,56 +635,14 @@ class MoteurEnactor:
             **extra,
         )
 
-    # -- profiled hot-path helpers ----------------------------------------------------
-    def _profiled_key(self, processor: Processor, facts, unordered: bool = False) -> str:
-        """Provenance-key hashing, attributed to the ``enactor`` component."""
-        profiler = self.profiler
-        if profiler is None:
-            return invocation_key(processor.service, facts, unordered=unordered)
-        profiler.enter("enactor.key")
-        try:
-            profiler.count("enactor.keys")
-            return invocation_key(processor.service, facts, unordered=unordered)
-        finally:
-            profiler.exit()
-
-    def _profiled_lookup(self, key: str, name: str):
-        """Cache consultation, attributed to the ``cache`` component."""
-        profiler = self.profiler
-        if profiler is None:
-            return self.cache.lookup(key, name)
-        profiler.enter("cache.lookup")
-        try:
-            return self.cache.lookup(key, name)
-        finally:
-            profiler.exit()
-
-    def _profiled_put(self, key: str, name: str, outputs) -> None:
-        profiler = self.profiler
-        if profiler is None:
-            self.cache.put(key, name, outputs)
-            return
-        profiler.enter("cache.put")
-        try:
-            self.cache.put(key, name, outputs)
-        finally:
-            profiler.exit()
-
     # -- invocation lifecycle ---------------------------------------------------------
     def _invoke(self, state: _ProcessorState, binding: Binding):
         processor = state.processor
         key: Optional[str] = None
         flight_open = False
         began = self.engine.now
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("enactor.prepare")
-        try:
-            parents = tuple(binding[port].history for port in sorted(binding))
-            history = HistoryTree.derive(processor.name, parents)
-        finally:
-            if profiler is not None:
-                profiler.exit()
+        parents = tuple(binding[port].history for port in sorted(binding))
+        history = HistoryTree.derive(processor.name, parents)
         try:
             # Stage barrier: without service parallelism a service only
             # starts once its predecessors finished their whole streams.
@@ -728,7 +667,7 @@ class MoteurEnactor:
                         port: ((token.history, token.data),)
                         for port, token in binding.items()
                     }
-                    key = self._profiled_key(processor, facts)
+                    key = invocation_key(processor.service, facts)
                 if key is not None and key in self._replay:
                     # Journal replay: the previous (interrupted) run already
                     # completed this invocation and persisted its outputs.
@@ -741,7 +680,7 @@ class MoteurEnactor:
                     self._replayed_count += 1
                 elif self.cache is not None:
                     lookup_start = self.engine.now
-                    outputs = self._profiled_lookup(key, processor.name)
+                    outputs = self.cache.lookup(key, processor.name)
                     if outputs is not None:
                         kind = "cached"
                         start = end = self.engine.now
@@ -785,7 +724,7 @@ class MoteurEnactor:
                     end = self.engine.now
                     job_ids = tuple(record.job_ids)
                     if self.cache is not None and key is not None:
-                        self._profiled_put(key, processor.name, outputs)
+                        self.cache.put(key, processor.name, outputs)
                         self.cache.close_flight(self.engine, key, outputs=outputs)
                         flight_open = False
 
@@ -877,7 +816,7 @@ class MoteurEnactor:
                         port: tuple((t.history, t.data) for t in tokens)
                         for port, tokens in survivors.items()
                     }
-                    key = self._profiled_key(processor, facts, unordered=True)
+                    key = invocation_key(processor.service, facts, unordered=True)
                 if key is not None and key in self._replay:
                     entry = self._replay[key]
                     outputs = dict(entry.outputs)
@@ -888,7 +827,7 @@ class MoteurEnactor:
                     self._replayed_count += 1
                 elif self.cache is not None:
                     lookup_start = self.engine.now
-                    outputs = self._profiled_lookup(key, processor.name)
+                    outputs = self.cache.lookup(key, processor.name)
                     if outputs is not None:
                         kind = "cached"
                         start = end = self.engine.now
@@ -932,7 +871,7 @@ class MoteurEnactor:
                     end = self.engine.now
                     job_ids = tuple(record.job_ids)
                     if self.cache is not None and key is not None:
-                        self._profiled_put(key, processor.name, outputs)
+                        self.cache.put(key, processor.name, outputs)
                         self.cache.close_flight(self.engine, key, outputs=outputs)
                         flight_open = False
 
@@ -988,31 +927,6 @@ class MoteurEnactor:
         *before* the outputs are emitted downstream, so a crash can
         never have published results it did not persist.
         """
-        profiler = self.profiler
-        if profiler is None:
-            self._complete_unprofiled(
-                state, history, outputs, start, end, kind, job_ids, key
-            )
-            return
-        profiler.enter("enactor.complete")
-        try:
-            self._complete_unprofiled(
-                state, history, outputs, start, end, kind, job_ids, key
-            )
-        finally:
-            profiler.exit()
-
-    def _complete_unprofiled(
-        self,
-        state: _ProcessorState,
-        history: HistoryTree,
-        outputs: Mapping[str, GridData],
-        start: float,
-        end: float,
-        kind: str,
-        job_ids: Tuple[int, ...],
-        key: Optional[str],
-    ) -> None:
         self._trace.add(
             TraceEvent(
                 processor=state.processor.name,
@@ -1041,8 +955,6 @@ class MoteurEnactor:
                         outputs=dict(outputs),
                     )
                 )
-                if self.profiler is not None:
-                    self.profiler.count("enactor.journal_appends")
             self._progress += 1
             crash_after = self.crash_after_n_invocations
             if crash_after is not None and self._progress >= crash_after:
@@ -1138,11 +1050,8 @@ class MoteurEnactor:
         the stream accounting stays exact) — the poison only kills the
         lineage it belongs to.
         """
-        profiler = self.profiler
         for port in state.processor.effective_output_ports():
             state.emitted[port] += 1
-            if profiler is not None:
-                profiler.count("enactor.tokens")
             self._deliver(
                 state.processor.name,
                 port,
@@ -1165,14 +1074,11 @@ class MoteurEnactor:
     def _emit_outputs(
         self, state: _ProcessorState, history: HistoryTree, outputs: Mapping[str, GridData]
     ) -> None:
-        profiler = self.profiler
         for port in state.processor.effective_output_ports():
             datum = outputs[port]
             if isinstance(datum.value, NoData):
                 continue  # conditional port chose not to emit (loop exits...)
             state.emitted[port] += 1
-            if profiler is not None:
-                profiler.count("enactor.tokens")
             self._deliver(state.processor.name, port, DataToken(datum, history))
 
     # -- stream accounting -------------------------------------------------------------

@@ -30,11 +30,10 @@ Usage::
                                         run-0001 latest [--budget-makespan 0.05]
                                         [--budget-bytes 0.0]
     python -m repro.experiments profile record --out profile.json
-                                        [--clock deterministic|wall] [--memory]
+                                        [--clock deterministic|wall]
     python -m repro.experiments profile report profile.json
     python -m repro.experiments profile diff baseline.json candidate.json
     python -m repro.experiments profile flame profile.json --out profile.folded
-                                        [--format collapsed|speedscope]
 
 ``table1`` runs the full sweep and prints Tables 1 and 2, the Section
 5.2/5.3 ratios and the paper comparison; ``diagrams`` regenerates the
@@ -71,13 +70,15 @@ trips and both rows carry a ``perf.profile.*`` breakdown, it also
 names the top regressed components; ``--budget-bytes`` additionally
 gates growth of ``bytes.total`` / ``bytes.enactor_moved``.
 
-The ``profile`` family drives the hot-path profiler
-(:mod:`repro.observability.profiling`): ``record`` runs one Bronze
-Standard enactment with the profiler installed across the whole stack
-(deterministic tick clock by default, so the file is byte-identical
-across same-seed runs), ``report`` renders a saved profile,
-``diff`` ranks per-component movement between two profiles, and
-``flame`` exports collapsed-stack or speedscope flamegraphs.
+The ``profile`` family attributes the simulator's host cost with
+stdlib ``cProfile`` (:mod:`repro.observability.profiling`): ``record``
+runs one Bronze Standard enactment under it (per-function call counts
+by default, so the file is byte-identical across same-seed runs;
+``--clock wall`` weighs self time instead), ``report`` renders a saved
+profile, ``diff`` ranks per-component movement between two profiles,
+and ``flame`` exports collapsed stacks for ``flamegraph.pl`` or
+speedscope.  ``bronze --profile`` and ``record-run`` profile the same
+way; profiling never changes a run's simulated results.
 """
 
 from __future__ import annotations
@@ -241,27 +242,26 @@ def cmd_bronze(args: argparse.Namespace) -> int:
             if args.feedback:
                 grid.set_health_provider(monitor)
                 monitor.add_sink(grid.alert_reactor())
-    profiler = None
-    if args.profile:
-        from repro.observability.profiling import Profiler, TickClock
-
-        profiler = Profiler(
-            clock=TickClock(),
-            label=f"bronze {config.label} pairs={args.pairs} "
-            f"seed={args.seed} testbed={args.testbed}",
-        )
     from repro.core.journal import SimulatedCrash
 
-    try:
-        result = app.enact(
+    def work():
+        return app.enact(
             config,
             n_pairs=args.pairs,
             instrumentation=bus,
             journal=args.journal,
             resume=args.resume,
             crash_after=args.crash_after,
-            profiler=profiler,
         )
+
+    profile = None
+    try:
+        if args.profile:
+            from repro.observability.profiling import record
+
+            result, profile = record(work, _profile_label("bronze", args))
+        else:
+            result = work()
     except SimulatedCrash as crash:
         out.info(f"simulated crash after {crash.completed} invocations")
         if args.journal:
@@ -344,14 +344,8 @@ def cmd_bronze(args: argparse.Namespace) -> int:
     if chrome is not None:
         chrome.write(args.chrome_trace)
         out.info(f"chrome trace written: {args.chrome_trace} (load in Perfetto)")
-    if profiler is not None:
-        profile = profiler.snapshot()
-        path = profile.save(args.profile)
-        out.info(
-            f"profile written: {path} ({profile.total_time * 1e3:.3f}ms "
-            f"accounted, {profile.clock} clock; inspect with: "
-            f"python -m repro.experiments profile report {path})"
-        )
+    if profile is not None:
+        _save_profile(profile, args.profile)
     if args.strict and lost_something:
         out.info("exit 3: --strict and the best-effort run lost items")
         return 3
@@ -457,7 +451,7 @@ def _load_spans(path: str):
         raise SystemExit(f"cannot read trace {path!r}: {exc}")
 
 
-def _instrumented_bronze(args: argparse.Namespace, profiler=None):
+def _instrumented_bronze(args: argparse.Namespace):
     """One instrumented Bronze Standard enactment (``--testbed`` grid).
 
     The shared front half of the analytics subcommands: returns
@@ -482,9 +476,7 @@ def _instrumented_bronze(args: argparse.Namespace, profiler=None):
     monitor = RunMonitor.attach(
         bus, expected_items=args.pairs, policy=policy_key(config)
     )
-    result = app.enact(
-        config, n_pairs=args.pairs, instrumentation=bus, profiler=profiler
-    )
+    result = app.enact(config, n_pairs=args.pairs, instrumentation=bus)
     return app, grid, result, collector.spans, monitor
 
 
@@ -603,17 +595,15 @@ def cmd_record_run(args: argparse.Namespace) -> int:
     import json
 
     from repro.observability import RunStore, summarize_run
-    from repro.observability.profiling import Profiler, TickClock, profile_counters
+    from repro.observability.profiling import profile_counters, record
 
     out = cli_logger()
-    # Always profile with the deterministic clock: the perf.profile.*
-    # breakdown costs little, adds no nondeterminism to the row, and is
-    # what compare-runs attribution reads when a throughput budget trips.
-    profiler = Profiler(
-        clock=TickClock(),
-        label=f"record-run {args.config} pairs={args.pairs} seed={args.seed}",
+    # Always profile with call counts: the perf.profile.* breakdown adds
+    # no nondeterminism to the row, and is what compare-runs attribution
+    # reads when a throughput budget trips.
+    (_app, grid, result, spans, _monitor), profile = record(
+        lambda: _instrumented_bronze(args), _profile_label("record-run", args)
     )
-    _app, grid, result, spans, _monitor = _instrumented_bronze(args, profiler=profiler)
     summary = summarize_run(
         result,
         spans=spans,
@@ -623,7 +613,7 @@ def cmd_record_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         note=args.note,
     )
-    summary.counters.update(profile_counters(profiler.snapshot()))
+    summary.counters.update(profile_counters(profile))
     store = RunStore(args.store)
     store.append(summary)
     out.info(
@@ -679,10 +669,26 @@ def cmd_compare_runs(args: argparse.Namespace) -> int:
                     out.info(line)
             else:
                 out.info(
-                    "\n(no perf.profile.* breakdown in both rows: record runs "
-                    "with the profiler installed to attribute the slowdown)"
+                    "\n(no perf.profile.* breakdown in both rows: record both "
+                    "runs with record-run to attribute the slowdown)"
                 )
     return 0 if comparison.ok else 1
+
+
+def _profile_label(command: str, args: argparse.Namespace) -> str:
+    return (
+        f"{command} {args.config} pairs={args.pairs} seed={args.seed} "
+        f"testbed={args.testbed}"
+    )
+
+
+def _save_profile(profile, path: str) -> None:
+    saved = profile.save(path)
+    cli_logger().info(
+        f"profile written: {saved} ({profile.total} {profile.unit}, "
+        f"{profile.clock} clock; inspect with: "
+        f"python -m repro.experiments profile report {saved})"
+    )
 
 
 def _load_profile(path: str):
@@ -696,33 +702,25 @@ def _load_profile(path: str):
 
 def cmd_profile_record(args: argparse.Namespace) -> int:
     from repro.apps.bronze_standard import BronzeStandardApplication
-    from repro.observability.profiling import Profiler, resolve_clock
+    from repro.observability.profiling import record
     from repro.sim.engine import Engine
     from repro.util.rng import RandomStreams
 
-    out = cli_logger()
     engine = Engine()
     streams = RandomStreams(seed=args.seed)
     grid = _make_testbed(args, engine, streams)
     app = BronzeStandardApplication(engine, grid, streams)
     config = _config_by_label(args.config)
-    profiler = Profiler(
-        clock=resolve_clock(args.clock),
-        track_memory=args.memory,
-        label=f"bronze {config.label} pairs={args.pairs} "
-        f"seed={args.seed} testbed={args.testbed}",
+    result, profile = record(
+        lambda: app.enact(config, n_pairs=args.pairs),
+        _profile_label("profile record", args),
+        args.clock,
     )
-    result = app.enact(config, n_pairs=args.pairs, profiler=profiler)
-    profile = profiler.snapshot()
-    path = profile.save(args.out)
-    out.info(
+    cli_logger().info(
         f"profiled {config.label} x {args.pairs} pairs "
         f"(makespan {result.makespan:.1f}s simulated)"
     )
-    out.info(
-        f"profile written: {path} ({profile.total_time * 1e3:.3f}ms accounted, "
-        f"{profile.clock} clock)"
-    )
+    _save_profile(profile, args.out)
     return 0
 
 
@@ -743,24 +741,19 @@ def cmd_profile_diff(args: argparse.Namespace) -> int:
     out.info(format_profile_diff(diff, args.limit))
     top = diff.top_component
     if top is not None:
-        out.info(f"\ntop regressed component: {top.component} ({top.delta_us:+.0f}us)")
+        out.info(f"\ntop regressed component: {top.name} ({top.delta:+.0f})")
     return 0
 
 
 def cmd_profile_flame(args: argparse.Namespace) -> int:
-    from repro.observability.profiling import speedscope_json, to_collapsed
+    from repro.observability.profiling import to_collapsed
 
-    out = cli_logger()
-    profile = _load_profile(args.profile)
-    if args.format == "speedscope":
-        rendered = speedscope_json(profile) + "\n"
-    else:
-        rendered = to_collapsed(profile)
+    rendered = to_collapsed(_load_profile(args.profile))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(rendered)
-        out.info(
-            f"{args.format} flamegraph written: {args.out} "
+        cli_logger().info(
+            f"collapsed stacks written: {args.out} "
             f"({len(rendered.splitlines())} lines)"
         )
     else:
@@ -915,8 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bronze.add_argument(
         "--profile", metavar="PATH",
-        help="install the hot-path profiler (deterministic tick clock) "
-        "and write the profile JSON here after the run",
+        help="run the enactment under cProfile and write its per-function "
+        "call counts here as profile JSON (simulated results unchanged)",
     )
     bronze.set_defaults(func=cmd_bronze)
 
@@ -1113,12 +1106,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="hot-path profiler: record / report / diff / flame",
+        help="host-cost attribution from cProfile: record / report / diff / flame",
     )
     profile_sub = profile.add_subparsers(dest="profile_command", required=True)
 
     p_record = profile_sub.add_parser(
-        "record", help="run one profiled Bronze Standard enactment"
+        "record", help="run one Bronze Standard enactment under cProfile"
     )
     add_run_options(p_record)
     p_record.add_argument(
@@ -1127,20 +1120,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_record.add_argument(
         "--clock", choices=["deterministic", "wall"], default="deterministic",
-        help="time source: 'deterministic' produces byte-identical "
-        "profiles across same-seed runs; 'wall' measures real time",
-    )
-    p_record.add_argument(
-        "--memory", action="store_true",
-        help="also record tracemalloc allocation deltas (slower; the "
-        "memory section is machine-dependent)",
+        help="row weight: 'deterministic' counts calls of repro functions "
+        "(byte-identical across same-seed runs); 'wall' measures self time "
+        "of every function, grouped by package",
     )
     p_record.set_defaults(func=cmd_profile_record)
 
     p_report = profile_sub.add_parser("report", help="render a saved profile")
     p_report.add_argument("profile", help="profile JSON (profile record --out)")
     p_report.add_argument(
-        "--limit", type=int, default=15, help="hottest scopes to list"
+        "--limit", type=int, default=15, help="heaviest functions to list"
     )
     p_report.set_defaults(func=cmd_profile_report)
 
@@ -1150,19 +1139,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("baseline", help="baseline profile JSON")
     p_diff.add_argument("candidate", help="candidate profile JSON")
     p_diff.add_argument(
-        "--limit", type=int, default=10, help="scope moves to list"
+        "--limit", type=int, default=10, help="function moves to list"
     )
     p_diff.set_defaults(func=cmd_profile_diff)
 
     p_flame = profile_sub.add_parser(
-        "flame", help="export a flamegraph (collapsed stacks or speedscope)"
+        "flame",
+        help="export collapsed stacks (flamegraph.pl input; speedscope "
+        "imports them directly)",
     )
     p_flame.add_argument("profile", help="profile JSON (profile record --out)")
-    p_flame.add_argument(
-        "--format", choices=["collapsed", "speedscope"], default="collapsed",
-        help="collapsed = Brendan Gregg flamegraph.pl input; speedscope = "
-        "https://speedscope.app JSON (default %(default)s)",
-    )
     p_flame.add_argument(
         "--out", metavar="PATH", help="write here instead of stdout"
     )

@@ -120,8 +120,6 @@ class ResourceBroker:
         self.health = health
         #: matches that avoided at least one blacklisted CE
         self.demotions = 0
-        #: hot-path profiler (repro.observability.profiling); None = off
-        self.profiler = None
 
     def match(self, record: JobRecord, brokering_delay: float):
         """Process generator: matchmake *record*, yielding the chosen CE.
@@ -148,16 +146,6 @@ class ResourceBroker:
         grid beats a stuck one); under ``least-loaded`` the provider's
         penalty is added to each surviving CE's load estimate.
         """
-        profiler = self.profiler
-        if profiler is None:
-            return self._choose_unprofiled(record)
-        profiler.enter("broker.rank")
-        try:
-            return self._choose_unprofiled(record)
-        finally:
-            profiler.exit()
-
-    def _choose_unprofiled(self, record: JobRecord) -> ComputingElement:
         candidates = self.computing_elements
         health = self.health
         if health is not None:

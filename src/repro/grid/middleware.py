@@ -202,8 +202,6 @@ class Grid:
         self._in_flight = 0
         #: instrumentation bus; also set by an enactor that shares one
         self.instrumentation = instrumentation
-        #: hot-path profiler (repro.observability.profiling); None = off
-        self.profiler = None
         #: job_id -> currently open job.attempt span (CE staging parents here)
         self._attempt_spans: Dict[int, Span] = {}
         #: published attribution for the transfer currently being timed
@@ -715,16 +713,6 @@ class Grid:
     # -- job submission -----------------------------------------------------
     def submit(self, description: JobDescription) -> SubmissionHandle:
         """Submit a job; returns immediately with a handle."""
-        profiler = self.profiler
-        if profiler is None:
-            return self._submit_unprofiled(description)
-        profiler.enter("grid.submit")
-        try:
-            return self._submit_unprofiled(description)
-        finally:
-            profiler.exit()
-
-    def _submit_unprofiled(self, description: JobDescription) -> SubmissionHandle:
         for gfn in description.input_files:
             if not self.catalog.knows(gfn):
                 raise ValueError(
@@ -907,30 +895,23 @@ class Grid:
                 if bus is not None:
                     bus.metrics.counter("grid.jobs.deadline_exceeded").inc()
                 break
-            profiler = self.profiler
-            if profiler is not None:
-                profiler.enter("grid.attempt")
-            try:
-                tries += 1
-                record.attempts = tries
-                record.enter(JobState.SUBMITTED, engine.now)
-                submitted_at = engine.now
-                attempt_span: Optional[Span] = None
-                if bus is not None:
-                    attempt_span = bus.begin(
-                        "job.attempt",
-                        "grid",
-                        submitted_at,
-                        parent=job_span,
-                        job_id=record.job_id,
-                        attempt=tries,
-                        **self._tenancy(record),
-                    )
-                    self._attempt_spans[record.job_id] = attempt_span
-                sample = self.overhead.sample(rng).under_load(self._overhead_scale())
-            finally:
-                if profiler is not None:
-                    profiler.exit()
+            tries += 1
+            record.attempts = tries
+            record.enter(JobState.SUBMITTED, engine.now)
+            submitted_at = engine.now
+            attempt_span: Optional[Span] = None
+            if bus is not None:
+                attempt_span = bus.begin(
+                    "job.attempt",
+                    "grid",
+                    submitted_at,
+                    parent=job_span,
+                    job_id=record.job_id,
+                    attempt=tries,
+                    **self._tenancy(record),
+                )
+                self._attempt_spans[record.job_id] = attempt_span
+            sample = self.overhead.sample(rng).under_load(self._overhead_scale())
             if sample.submission > 0:
                 yield engine.timeout(sample.submission)
 

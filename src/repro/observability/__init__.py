@@ -48,9 +48,9 @@ Pieces (all dependency-free, all in simulated time):
   subscriber: per-service progress/ETA blending the Section 3.5 model
   with the observed rate, per-CE health, the alert pipeline, and the
   health-provider hook the broker uses to demote flagged CEs;
-* :mod:`~repro.observability.profiling` — the toggleable hot-path
-  profiler: nested scope accounting over an injectable clock, churn
-  counters, flamegraph export (collapsed / speedscope) and the
+* :mod:`~repro.observability.profiling` — host-cost attribution from
+  stdlib ``cProfile`` (imported on demand by the commands that profile):
+  per-function call counts or self time, collapsed-stack export and the
   per-component ``compare-runs`` regression attribution;
 * :mod:`~repro.observability.dataflow` — the data plane's ledger: the
   :class:`DataFlowCollector` accounting every transfer as a typed,
@@ -152,13 +152,6 @@ from repro.observability.metrics import (
     MetricsSnapshot,
 )
 from repro.observability.monitor import HealthProvider, RunMonitor, ServiceProgress
-from repro.observability.profiling import (
-    Profile,
-    Profiler,
-    ProfilerError,
-    TickClock,
-    wall_clock,
-)
 from repro.observability.runstore import (
     Budgets,
     Regression,
@@ -250,11 +243,6 @@ __all__ = [
     "build_durability_report",
     "format_durability_report",
     "parse_durability_report",
-    "Profile",
-    "Profiler",
-    "ProfilerError",
-    "TickClock",
-    "wall_clock",
     "TRANSFER_PURPOSES",
     "TransferRecord",
     "DataFlowCollector",

@@ -68,11 +68,6 @@ class InstrumentationBus:
         self.run_span: Optional[Span] = None
         self._sequence = 0
         self._run_sequence = 0
-        #: hot-path profiler (repro.observability.profiling).  The bus
-        #: instruments *itself* so the cost of observability shows up in
-        #: profiles as the ``bus`` component instead of inflating
-        #: whatever scope happened to emit a span.  None = off.
-        self.profiler = None
 
     # -- wiring ----------------------------------------------------------
     def subscribe(self, subscriber: Subscriber) -> Subscriber:
@@ -107,43 +102,28 @@ class InstrumentationBus:
         **attributes: Any,
     ) -> Span:
         """Open a span and notify subscribers."""
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("bus.begin")
-            profiler.count("bus.spans")
-        try:
-            if trace_id is None:
-                trace_id = parent.trace_id if parent is not None else ""
-            span = Span(
-                name=name,
-                category=category,
-                span_id=span_id if span_id is not None else self.next_span_id(),
-                trace_id=trace_id,
-                parent_id=parent.span_id if parent is not None else None,
-                start=start,
-                status=status,
-                attributes=dict(attributes),
-            )
-            for subscriber in self.subscribers:
-                subscriber.on_start(span)
-            return span
-        finally:
-            if profiler is not None:
-                profiler.exit()
+        if trace_id is None:
+            trace_id = parent.trace_id if parent is not None else ""
+        span = Span(
+            name=name,
+            category=category,
+            span_id=span_id if span_id is not None else self.next_span_id(),
+            trace_id=trace_id,
+            parent_id=parent.span_id if parent is not None else None,
+            start=start,
+            status=status,
+            attributes=dict(attributes),
+        )
+        for subscriber in self.subscribers:
+            subscriber.on_start(span)
+        return span
 
     def end(self, span: Span, end: float, status: Optional[str] = None, **attributes: Any) -> Span:
         """Close *span* and notify subscribers."""
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("bus.end")
-        try:
-            span.close(end, status=status, **attributes)
-            for subscriber in self.subscribers:
-                subscriber.on_end(span)
-            return span
-        finally:
-            if profiler is not None:
-                profiler.exit()
+        span.close(end, status=status, **attributes)
+        for subscriber in self.subscribers:
+            subscriber.on_end(span)
+        return span
 
     def record(
         self,

@@ -30,9 +30,9 @@ for one CI-friendly frame, ``--watch`` for a live ANSI refresh).
 ``--telemetry`` attaches an instrumentation bus to commands that
 execute runs; ``--alerts`` streams ``slo-burn`` alerts to a JSONL
 file; ``--slo kind=value`` overrides the default objectives;
-``--profile PATH`` installs the deterministic hot-path profiler and
-writes the profile (``repro.observability.profiling``) after the
-command drains.
+``--profile PATH`` drains under stdlib ``cProfile`` and writes the
+per-function call counts of the whole drain
+(``repro.observability.profiling``).
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from repro.observability.ops import (
     render_top,
     rollups_from_records,
 )
-from repro.observability.profiling import Profiler, TickClock
 from repro.observability.runstore import RunStore
 from repro.service.api import run_status
 from repro.service.logic import RunRecord, RunState, TenantSpec
@@ -104,11 +103,6 @@ def _slos(args: argparse.Namespace):
 def _service(args: argparse.Namespace, store: StateStore) -> EnactmentService:
     runstore = RunStore(args.runstore) if args.runstore else None
     bus = InstrumentationBus() if getattr(args, "telemetry", False) else None
-    profiler = None
-    if getattr(args, "profile", None):
-        # Deterministic clock: the service-level profile is part of the
-        # reproducibility story (byte-identical across same-seed runs).
-        profiler = Profiler(clock=TickClock(), label="service drain")
     return EnactmentService(
         store,
         policy=args.policy,
@@ -119,7 +113,6 @@ def _service(args: argparse.Namespace, store: StateStore) -> EnactmentService:
         instrumentation=bus,
         slos=_slos(args),
         alert_sinks=_sinks(args),
-        profiler=profiler,
     )
 
 
@@ -130,17 +123,16 @@ def _sinks(args: argparse.Namespace):
     return sinks or None
 
 
-def _write_profile(args: argparse.Namespace, service: EnactmentService, out) -> None:
-    """Save the installed profiler's snapshot if ``--profile`` was given."""
-    profiler = service.profiler
-    if profiler is None:
-        return
-    profile = profiler.snapshot()
+def _drain(args: argparse.Namespace, service: EnactmentService, out) -> List[RunRecord]:
+    """``service.drain()``, under cProfile when ``--profile`` was given."""
+    if not args.profile:
+        return service.drain()
+    from repro.observability.profiling import record
+
+    runs, profile = record(service.drain, "service drain")
     path = profile.save(args.profile)
-    out.info(
-        f"profile: {profile.total_time * 1000:.1f} ms accounted "
-        f"({profile.clock} clock) -> {path}"
-    )
+    out.info(f"profile: {profile.total} {profile.unit} ({profile.clock} clock) -> {path}")
+    return runs
 
 
 def _print_runs(out, runs: List[RunRecord]) -> None:
@@ -242,9 +234,8 @@ def cmd_drain(args: argparse.Namespace) -> int:
         recovered = service.recover()
         for run in recovered:
             out.info(f"recovered {run.run_id} (resume={run.resume})")
-        runs = service.drain()
+        runs = _drain(args, service, out)
         _print_runs(out, runs)
-        _write_profile(args, service, out)
         return 0
     finally:
         service.close()
@@ -398,7 +389,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
                 not_before=float(payload.get("not_before", 0.0)),
             )
             out.info(f"submitted {run.run_id} ({run.tenant}, nb={run.not_before:g})")
-        runs = service.drain()
+        runs = _drain(args, service, out)
         _print_runs(out, runs)
         done = [r for r in runs if r.state is RunState.DONE]
         out.info(
@@ -427,7 +418,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
                 f"throughput: {perf['perf.events_per_sec']:.0f} engine events/s "
                 f"over {perf['perf.ticks']:.0f} ticks"
             )
-        _write_profile(args, service, out)
         return 0 if len(done) == len(runs) else 1
     finally:
         service.close()
@@ -499,8 +489,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--profile",
         default=None,
         metavar="PATH",
-        help="install the deterministic hot-path profiler and write the "
-        "profile JSON here after drain/demo (inspect with: "
+        help="drain under cProfile and write the per-function call counts "
+        "here as profile JSON (drain/demo; inspect with: "
         "python -m repro.experiments profile report PATH)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -49,6 +49,7 @@ import hashlib
 import json
 import os
 import threading
+import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
@@ -68,7 +69,6 @@ from repro.observability.alerts import Alert
 from repro.observability.ops.audit import AuditEvent
 from repro.observability.ops.rollup import ControlPlaneTelemetry
 from repro.observability.ops.slo import SLO, SLOTracker
-from repro.observability.profiling import Profiler, install, profile_counters, wall_clock
 from repro.observability.runstore import RunStore, summarize_run
 from repro.service.logic import (
     FairShareLedger,
@@ -168,7 +168,6 @@ class EnactmentService:
         nominal_makespan: float = 600.0,
         slos: Optional[List[SLO]] = None,
         alert_sinks: Optional[List[Callable[[Alert], None]]] = None,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         self.store = store
         self.policy = policy
@@ -220,12 +219,6 @@ class EnactmentService:
         self._wall_seconds = 0.0
         self._tick_count = 0
         self._invocations_total = 0
-        #: optional hot-path profiler, installed across the whole stack
-        #: (engine dispatch, grid submit/attempt, broker ranking, bus
-        #: span lifecycle); per-run enactors are wired in _start.
-        self.profiler = profiler
-        if profiler is not None:
-            install(profiler, self.engine, self.grid, self.grid.broker, instrumentation)
 
     # -- audit trail -------------------------------------------------------
     def _audit(
@@ -511,7 +504,6 @@ class EnactmentService:
             run_attributes={"tenant": record.tenant, "run": record.run_id},
             claim_run_span=False,
         )
-        enactor.profiler = self.profiler
         completion = enactor.enact(dataset, replay=replay)
         # The scheduler harvests failures via callback; an undefused
         # failed event would crash the shared engine for every run.
@@ -558,13 +550,6 @@ class EnactmentService:
                     note=f"service tenant={record.tenant} run={run_id}",
                 )
                 summary.counters.update(self.perf_counters())
-                if self.profiler is not None:
-                    # Service-lifetime totals, like the other perf.*
-                    # counters: runs interleave on one engine, so
-                    # per-run attribution is not meaningful here.
-                    summary.counters.update(
-                        profile_counters(self.profiler.snapshot())
-                    )
                 self.runstore.append(summary)
         else:
             error = event.value
@@ -612,7 +597,7 @@ class EnactmentService:
         nothing to do right now.
         """
         with self._lock:
-            wall_start = wall_clock()
+            wall_start = time.perf_counter()
             progress = self._admit()
             steps = 0
             while steps < max_events and self.engine.peek() != float("inf"):
@@ -626,7 +611,7 @@ class EnactmentService:
                     self.engine.run(until=min(future))
                     self._dirty = True
                     progress += 1
-            self._wall_seconds += wall_clock() - wall_start
+            self._wall_seconds += time.perf_counter() - wall_start
             self._tick_count += 1
             return progress
 

@@ -334,9 +334,6 @@ class Engine:
         #: idiom: timeout losers of AnyOf races, interrupts, withdrawn
         #: jobs) rather than raised at the engine level
         self.events_cancelled = 0
-        #: hot-path profiler (see repro.observability.profiling); None
-        #: keeps dispatch at one attribute test of overhead
-        self.profiler = None
 
     @property
     def now(self) -> float:
@@ -391,9 +388,6 @@ class Engine:
         self._sequence += 1
         if len(self._heap) > self.peak_heap_size:
             self.peak_heap_size = len(self._heap)
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.count("engine.heap_push")
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -406,18 +400,8 @@ class Engine:
         self._now, _, event = heapq.heappop(self._heap)
         self.events_processed += 1
         callbacks, event.callbacks = event.callbacks, None
-        profiler = self.profiler
-        if profiler is None:
-            for callback in callbacks:
-                callback(event)
-        else:
-            profiler.count("engine.heap_pop")
-            profiler.enter("engine.step")
-            try:
-                for callback in callbacks:
-                    callback(event)
-            finally:
-                profiler.exit()
+        for callback in callbacks:
+            callback(event)
         if not event._ok:
             if not event.defused:
                 raise event._value

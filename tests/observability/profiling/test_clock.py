@@ -1,73 +1,45 @@
-"""Tests for the shared clock helpers."""
+"""Tests for record()'s two clocks: call counts and wall-clock self time."""
 
+import numpy as np
 import pytest
 
-from repro.observability.profiling import (
-    ManualClock,
-    TickClock,
-    resolve_clock,
-    wall_clock,
-)
+from repro.observability.profiling import CLOCKS, record
 
-
-class TestWallClock:
-    def test_monotone(self):
-        readings = [wall_clock() for _ in range(10)]
-        assert readings == sorted(readings)
-
-
-class TestTickClock:
-    def test_every_reading_advances_one_quantum(self):
-        clock = TickClock(quantum=0.5)
-        assert clock() == pytest.approx(0.5)
-        assert clock() == pytest.approx(1.0)
-        assert clock.ticks == 2
-
-    def test_default_quantum_is_one_microsecond(self):
-        clock = TickClock()
-        assert clock() == pytest.approx(1e-6)
-
-    def test_rejects_nonpositive_quantum(self):
-        with pytest.raises(ValueError, match="quantum"):
-            TickClock(quantum=0.0)
-
-    def test_two_clocks_are_independent(self):
-        a, b = TickClock(), TickClock()
-        a()
-        a()
-        assert b() == pytest.approx(1e-6)
-
-
-class TestManualClock:
-    def test_reads_do_not_advance(self):
-        clock = ManualClock(now=3.0)
-        assert clock() == clock() == 3.0
-
-    def test_advance(self):
-        clock = ManualClock()
-        assert clock.advance(2.5) == 2.5
-        assert clock() == 2.5
-
-    def test_rejects_backwards(self):
-        with pytest.raises(ValueError):
-            ManualClock().advance(-1.0)
+FIXTURE = "util;repro.util._fixture:"
 
 
 class TestResolveClock:
-    def test_none_and_wall_map_to_shared_helper(self):
-        assert resolve_clock(None) is wall_clock
-        assert resolve_clock("wall") is wall_clock
-
-    def test_deterministic_returns_fresh_tick_clock(self):
-        one = resolve_clock("deterministic")
-        two = resolve_clock("tick")
-        assert isinstance(one, TickClock) and isinstance(two, TickClock)
-        assert one is not two
-
-    def test_callable_passes_through(self):
-        clock = ManualClock()
-        assert resolve_clock(clock) is clock
-
     def test_unknown_spec_rejected(self):
+        ran = []
         with pytest.raises(ValueError, match="unknown clock"):
-            resolve_clock("sundial")
+            record(lambda: ran.append(1), clock="tick")
+        assert ran == []  # rejected before the work runs
+        assert CLOCKS == ("deterministic", "wall")
+
+
+class TestDeterministicClock:
+    def test_weights_are_repro_call_counts_only(self, repro_code):
+        ns = repro_code(
+            """
+            import numpy as np
+
+            def f(values):
+                return np.sum(values)
+            """
+        )
+        result, profile = record(lambda: [ns["f"]([1, 2]) for _ in range(4)])
+        assert result == [3, 3, 3, 3]
+        assert profile.unit == "calls"
+        assert profile.rows == {FIXTURE + "f": 4}  # numpy is not repro code
+
+
+class TestWallClock:
+    def test_outside_code_is_grouped_by_package(self):
+        def work():
+            return sorted(np.arange(2000).tolist())
+
+        _, profile = record(work, clock="wall")
+        components = set(profile.by_component())
+        assert "builtins" in components  # sorted() is a C function
+        assert components <= {"builtins", "numpy", "stdlib", "tests", "other"}
+        assert all(weight > 0 for weight in profile.rows.values())

@@ -1,9 +1,10 @@
-"""Flamegraph exporter tests: strict round-trips and byte-identity.
+"""Collapsed-stack export tests: strict round-trips and byte-identity.
 
-The byte-identity test is the acceptance criterion for the
+The byte-identity tests are the acceptance criterion for the
 deterministic clock: two identically seeded bronze enactments must
-produce the same profile JSON and the same flamegraph exports, byte
-for byte.
+produce the same profile JSON and the same collapsed stacks, byte for
+byte, even when an enactment of a different size ran before them in
+the same process.
 """
 
 import pytest
@@ -12,68 +13,64 @@ from repro.apps.bronze_standard import BronzeStandardApplication
 from repro.core.config import OptimizationConfig
 from repro.grid.testbeds import egee_like_testbed
 from repro.observability.profiling import (
-    ManualClock,
-    Profiler,
+    Profile,
     ProfilerError,
-    TickClock,
-    collapsed_weights,
     parse_collapsed,
-    parse_speedscope,
-    speedscope_json,
+    record,
     to_collapsed,
-    to_speedscope,
 )
 from repro.sim.engine import Engine
 from repro.util.rng import RandomStreams
 
 
 def sample_profile():
-    profiler = Profiler(clock=ManualClock(), label="sample")
-    clock = profiler.clock
-    with profiler.scope("engine.step"):
-        clock.advance(10e-6)
-        with profiler.scope("enactor.prepare"):
-            clock.advance(25e-6)
-        with profiler.scope("cache.lookup"):
-            clock.advance(3e-6)
-    with profiler.scope("broker.rank"):
-        clock.advance(7e-6)
-    return profiler.snapshot()
+    return Profile(
+        "sample",
+        "wall",
+        {
+            "broker;repro.grid.broker:ResourceBroker._choose": 7,
+            "cache;repro.cache:ResultCache.lookup": 3,
+            "core;repro.core.enactor:MoteurEnactor._invoke": 25,
+            "sim;repro.sim.engine:Engine.step": 10,
+        },
+    )
 
 
-def profiled_bronze(seed=42, pairs=2):
-    """One deterministic-clock bronze enactment; returns the Profile."""
+def expected_weights(profile):
+    return {tuple(key.split(";")): weight for key, weight in profile.rows.items()}
+
+
+def bronze(seed=42, pairs=2):
     engine = Engine()
     streams = RandomStreams(seed=seed)
     grid = egee_like_testbed(
         engine, streams, n_sites=6, workers_per_ce=40, with_background_load=False
     )
     app = BronzeStandardApplication(engine, grid, streams)
-    config = next(
-        c for c in OptimizationConfig.paper_configurations() if c.label == "SP+DP"
-    )
-    profiler = Profiler(clock=TickClock(), label="bronze smoke")
-    app.enact(config, n_pairs=pairs, profiler=profiler)
-    return profiler.snapshot()
+    return app.enact(OptimizationConfig.sp_dp(), n_pairs=pairs)
+
+
+def profiled_bronze(seed=42, pairs=2):
+    """One deterministic-clock bronze enactment; returns the Profile."""
+    return record(lambda: bronze(seed, pairs), "bronze smoke")[1]
 
 
 class TestCollapsed:
     def test_roundtrip_through_strict_parser(self):
         profile = sample_profile()
-        assert parse_collapsed(to_collapsed(profile)) == collapsed_weights(profile)
+        assert parse_collapsed(to_collapsed(profile)) == expected_weights(profile)
 
     def test_weights_are_self_time_micros(self):
-        weights = collapsed_weights(sample_profile())
-        assert weights[("engine.step",)] == 10
-        assert weights[("engine.step", "enactor.prepare")] == 25
-        assert weights[("broker.rank",)] == 7
+        weights = parse_collapsed(to_collapsed(sample_profile()))
+        assert weights[("sim", "repro.sim.engine:Engine.step")] == 10
+        assert weights[("core", "repro.core.enactor:MoteurEnactor._invoke")] == 25
 
-    def test_zero_weight_stacks_dropped(self):
-        profiler = Profiler(clock=ManualClock())
-        with profiler.scope("instant"):
-            pass
-        assert collapsed_weights(profiler.snapshot()) == {}
-        assert to_collapsed(profiler.snapshot()) == ""
+    def test_zero_weight_stacks_dropped(self, repro_code):
+        ns = repro_code("def instant():\n    pass\n")
+        _, profile = record(ns["instant"], clock="wall")
+        assert all(weight > 0 for weight in profile.rows.values())
+        parse_collapsed(to_collapsed(profile))  # rejects any zero weight
+        assert to_collapsed(Profile("empty", "wall", {})) == ""
 
     def test_lines_sorted_and_newline_terminated(self):
         text = to_collapsed(sample_profile())
@@ -96,42 +93,6 @@ class TestCollapsed:
             parse_collapsed(bad)
 
 
-class TestSpeedscope:
-    def test_roundtrip_through_strict_parser(self):
-        profile = sample_profile()
-        assert parse_speedscope(to_speedscope(profile)) == collapsed_weights(profile)
-        assert parse_speedscope(speedscope_json(profile)) == (
-            collapsed_weights(profile)
-        )
-
-    def test_end_value_equals_weight_sum(self):
-        doc = to_speedscope(sample_profile())
-        prof = doc["profiles"][0]
-        assert prof["endValue"] == sum(prof["weights"])
-
-    def test_parser_rejects_wrong_schema(self):
-        doc = to_speedscope(sample_profile())
-        doc["$schema"] = "https://example.com/nope.json"
-        with pytest.raises(ProfilerError, match="schema"):
-            parse_speedscope(doc)
-
-    def test_parser_rejects_frame_index_out_of_range(self):
-        doc = to_speedscope(sample_profile())
-        doc["profiles"][0]["samples"][0] = [999]
-        with pytest.raises(ProfilerError, match="out of range"):
-            parse_speedscope(doc)
-
-    def test_parser_rejects_mismatched_end_value(self):
-        doc = to_speedscope(sample_profile())
-        doc["profiles"][0]["endValue"] = 1
-        with pytest.raises(ProfilerError, match="endValue"):
-            parse_speedscope(doc)
-
-    def test_parser_rejects_non_json_text(self):
-        with pytest.raises(ProfilerError, match="not JSON"):
-            parse_speedscope("{broken")
-
-
 class TestByteIdentity:
     """Two identically seeded runs -> identical bytes, everywhere."""
 
@@ -140,17 +101,18 @@ class TestByteIdentity:
         second = profiled_bronze(seed=42)
         assert first.to_json() == second.to_json()
         assert to_collapsed(first) == to_collapsed(second)
-        assert speedscope_json(first) == speedscope_json(second)
+
+    def test_byte_identical_after_a_larger_enactment_in_process(self):
+        first = profiled_bronze(seed=42)
+        bronze(seed=42, pairs=5)  # leaves abandoned simulation processes
+        second = profiled_bronze(seed=42)
+        assert first.to_json() == second.to_json()
 
     def test_different_seeds_still_roundtrip(self):
         profile = profiled_bronze(seed=7)
-        assert parse_collapsed(to_collapsed(profile)) == collapsed_weights(profile)
-        assert parse_speedscope(speedscope_json(profile)) == (
-            collapsed_weights(profile)
-        )
+        assert parse_collapsed(to_collapsed(profile)) == expected_weights(profile)
 
     def test_bronze_profile_names_hot_components(self):
         components = profiled_bronze(seed=42).by_component()
-        assert "engine" in components
-        assert "enactor" in components
-        assert components["engine"]["self"] > 0
+        for name in ("sim", "core", "grid", "apps"):
+            assert components[name] > 0

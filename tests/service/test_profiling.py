@@ -1,9 +1,12 @@
-"""Service-level profiler integration: install, fold, and engine counters."""
+"""Service profiling: engine counters in rows, cProfile at the CLI edge."""
+
+import json
 
 from repro.grid.testbeds import cluster_testbed
-from repro.observability.profiling import Profiler, TickClock
+from repro.observability.profiling import Profile
 from repro.observability.runstore import RunStore
 from repro.service import EnactmentService, InMemoryStateStore, TenantSpec
+from repro.service.__main__ import main as service_main
 
 
 def small_cluster(engine, streams):
@@ -29,26 +32,6 @@ def drain_one(service):
 
 
 class TestServiceProfiler:
-    def test_profiler_installed_across_the_stack(self):
-        profiler = Profiler(clock=TickClock())
-        service = drain_one(make_service(profiler=profiler))
-        assert service.engine.profiler is profiler
-        assert service.grid.profiler is profiler
-        components = profiler.snapshot().by_component()
-        assert "engine" in components
-        assert components["engine"]["self"] > 0
-
-    def test_runstore_rows_fold_in_profile_counters(self, tmp_path):
-        runstore = RunStore(tmp_path / "runstore")
-        drain_one(
-            make_service(
-                runstore=runstore, profiler=Profiler(clock=TickClock())
-            )
-        )
-        (summary,) = runstore.runs()
-        assert summary.counters["perf.profile.engine"] > 0
-        assert summary.counters["perf.profile.engine.calls"] > 0
-
     def test_unprofiled_rows_have_no_profile_counters(self, tmp_path):
         runstore = RunStore(tmp_path / "runstore")
         drain_one(make_service(runstore=runstore))
@@ -65,3 +48,23 @@ class TestServiceProfiler:
             counters["engine.events_processed"]
         )
         assert counters["engine.peak_heap_size"] >= 1
+
+    def test_profile_flag_profiles_the_whole_drain(self, tmp_path, capsys):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({
+            "tenants": [{"name": "alice"}],
+            "runs": [{"tenant": "alice", "n_items": 1}],
+        }))
+        profile_path = tmp_path / "drain.json"
+        runstore = tmp_path / "runstore"
+        code = service_main([
+            "--store", "memory", "--testbed", "ideal", "--runstore", str(runstore),
+            "--profile", str(profile_path), "demo", "--script", str(script),
+        ])
+        assert code == 0
+        assert str(profile_path) in capsys.readouterr().out
+        components = Profile.load(profile_path).by_component()
+        assert components["service"] > 0 and components["sim"] > 0
+        # the profile is the drain's; rows no longer repeat its totals
+        (summary,) = RunStore(runstore).runs()
+        assert not any(key.startswith("perf.profile.") for key in summary.counters)

@@ -1,4 +1,4 @@
-"""Tests for the engine's lifetime counters (satellite of the profiler PR)."""
+"""Tests for the engine's lifetime counters."""
 
 from repro.sim.engine import Engine
 
