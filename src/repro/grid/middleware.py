@@ -27,7 +27,7 @@ which the experiment harness mines for overhead/makespan statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.grid.broker import ResourceBroker
 from repro.grid.faults import DurabilityFaultModel, FaultModel, OutageSchedule
@@ -189,7 +189,10 @@ class Grid:
             for ce in site.computing_elements:
                 ce.grid = self
                 self.computing_elements.append(ce)
-            self._storage_by_site[site.name] = site.storage_element
+            if site.storage_element is not None:
+                self._storage_by_site[site.name] = site.storage_element
+        #: every real SE, by name: the deterministic fallback order
+        self._storage_elements = sorted(self._storage_by_site.values(), key=lambda se: se.name)
         self.broker = ResourceBroker(
             engine,
             self.computing_elements,
@@ -286,64 +289,28 @@ class Grid:
             run=(str(tags["run"]) if "run" in tags else None),
         )
 
+    def _copy_time(
+        self, purpose: str, file: LogicalFile, src: str, dst: str, now: float,
+        record: Optional[JobRecord] = None,
+    ) -> float:
+        """Seconds of one successful src -> dst copy of *file* starting
+        at *now*, reported to the network observers under its published
+        :attr:`transfer_context`."""
+        self.transfer_context = self._transfer_attribution(purpose, file.gfn, record)
+        try:
+            return self.network.transfer_time(src, dst, file.size, now=now)
+        finally:
+            self.transfer_context = None
+
     def stage_in_time(
-        self, gfn: str, site: str, record: Optional[JobRecord] = None
+        self, file: LogicalFile, src: str, site: str, now: float, record: Optional[JobRecord] = None
     ) -> float:
-        """Seconds to pull *gfn* from its closest replica to *site*.
-
-        *record* (the job staging the file) attributes the transfer in
-        the published :attr:`transfer_context`.
-        """
-        file = self.catalog.lookup(gfn)
-        replica = self.catalog.closest_replica(gfn, site)
-        self.transfer_context = self._transfer_attribution(
-            self._stage_in_purpose(gfn), gfn, record
-        )
-        try:
-            return self.network.transfer_time(replica.site, site, file.size)
-        finally:
-            self.transfer_context = None
-
-    def stage_out_time(
-        self, file: LogicalFile, site: str, record: Optional[JobRecord] = None
-    ) -> float:
-        """Seconds to push a produced *file* from *site* to its SE.
-
-        Outputs go to the local SE when the site has one (LAN cost),
-        otherwise to the default site's SE (WAN cost).
-        """
-        se = self.storage_at(site)
-        target_site = se.site if se is not None else self.default_site.name
-        self.transfer_context = self._transfer_attribution("stage-out", file.gfn, record)
-        try:
-            return self.network.transfer_time(site, target_site, file.size)
-        finally:
-            self.transfer_context = None
-
-    def register_output(self, file: LogicalFile, site: str) -> None:
-        """Register a freshly produced file on the chosen SE."""
-        se = self.storage_at(site)
-        if se is None:
-            se = self.default_site.storage_element
-        self._minted_gfns.add(file.gfn)
-        self.catalog.register(file, se)
+        """Observed seconds of a stage-in's successful copy of *file* from
+        the replica at *src* to *site*, starting at *now*, on behalf of
+        the job *record*."""
+        return self._copy_time(self._stage_in_purpose(file.gfn), file, src, site, now, record)
 
     # -- data-plane chaos ---------------------------------------------------
-    @property
-    def chaos_enabled(self) -> bool:
-        """True when any data-plane fault injection or repair is on.
-
-        Computing elements switch from the legacy bulk staging path to
-        the per-file retry/failover generators only under this flag, so
-        every pre-chaos testbed keeps its exact seeded event sequence.
-        """
-        return (
-            not self.outages.empty
-            or self.durability.active
-            or self.network.has_faults
-            or self.repair_target > 1
-        )
-
     def entity_down(self, entity_name: str, site_name: str, now: float) -> bool:
         """Is an entity down, directly or through its site's outage?"""
         return self.outages.is_down(entity_name, now) or self.outages.is_down(
@@ -380,206 +347,207 @@ class Grid:
                 **attributes,
             )
 
-    def stage_in_process(self, gfn: str, site: str, record: Optional[JobRecord] = None):
-        """Stage *gfn* in to *site* under chaos; generator, returns seconds.
+    def _outage_wait(self, elements: List[StorageElement]):
+        """Wait until the first of *elements* (all down) is back up; generator."""
+        engine = self.engine
+        resume = min(self.entity_next_up(se.name, se.site, engine.now) for se in elements)
+        if resume > engine.now:
+            self._counter("grid.transfer.outage_waits")
+            yield engine.timeout(resume - engine.now)
 
-        Walks the deterministic failover order over live verified
-        replicas: replicas discovered lost are skipped in place,
-        corrupted ones are quarantined after the (wasted) transfer,
-        failed transfers back off per :attr:`transfer_retry`, and when
-        every healthy replica sits behind an SE outage the stage-in
-        simply waits the outage out (outages delay, only loss kills).
-        Raises :class:`ReplicaUnavailableError` when no usable replica
-        survives and :class:`TransferFailedError` when the retry budget
-        runs dry — both contained by the job machinery.
+    def _failed_copy(
+        self, src_site: str, dst_site: str, file: LogicalFile, now: float, failures: int,
+        error: str, quarantine: Optional[StorageElement] = None, **attributes,
+    ):
+        """Spend a wasted src -> dst copy of *file*, record it, then give
+        up past the transfer retry cap or back off; generator, returns
+        the copy's seconds.
+
+        A copy from *quarantine* failed its checksum (that replica is
+        quarantined once the bytes land); any other failed copy died
+        mid-flight.  Neither reaches the network observers, so the byte
+        ledger never sees it.  *attributes* label the chaos span.
         """
         engine = self.engine
-        file = self.catalog.lookup(gfn)
+        seconds = self.network.raw_transfer_time(src_site, dst_site, file.size, now=now)
+        started = engine.now
+        yield engine.timeout(seconds)
+        if quarantine is not None:
+            quarantine.quarantine(file.gfn)
+            self._counter("grid.replicas.quarantined")
+            self._chaos_span("replica.corruption", started, **attributes, gfn=file.gfn)
+        else:
+            self._counter("grid.transfer.failures")
+            self._chaos_span("transfer.fault", started, **attributes, gfn=file.gfn)
         policy = self.transfer_retry
         max_attempts = policy.max_attempts if policy.max_attempts is not None else 4
-        backoff_rng = self.streams.get("transfer-backoff")
+        if failures >= max_attempts:
+            raise TransferFailedError(file.gfn, failures, error)
+        self._counter("grid.transfer.retries")
+        delay = policy.backoff(failures, self.streams.get("transfer-backoff"))
+        if delay > 0:
+            yield engine.timeout(delay)
+        return seconds
+
+    def stage_in_process(
+        self, gfns: Sequence[str], site: str, record: Optional[JobRecord] = None
+    ):
+        """Stage the files *gfns* in to *site*; generator, returns seconds.
+
+        Each file walks the deterministic failover order over live
+        verified replicas: replicas discovered lost are skipped in
+        place, corrupted ones are quarantined after the (wasted)
+        transfer, failed transfers back off per :attr:`transfer_retry`,
+        and when every healthy replica sits behind an SE outage the
+        stage-in simply waits the outage out (outages delay, only loss
+        kills).  Clean copies follow the pending-time rule of
+        :meth:`stage_out_process`.  Raises
+        :class:`ReplicaUnavailableError` when no usable replica survives
+        and :class:`TransferFailedError` when the retry budget runs dry —
+        both contained by the job machinery.
+        """
+        engine = self.engine
         fault_rng = self.streams.get("transfer-faults")
         replica_rng = self.streams.get("replica-faults")
         network_faulty = self.network.has_faults
-        durability_on = self.durability.active
-        purpose = self._stage_in_purpose(gfn)
-        sites_tried: List[str] = []
-        elapsed = 0.0
-        failures = 0
-        last_error = "no transfer attempted"
-        while True:
-            ranked = self.catalog.failover_order(gfn, site)
-            if not ranked:
-                tried = sites_tried or [se.site for se in self.catalog.replicas(gfn)]
-                raise ReplicaUnavailableError(gfn, tuple(dict.fromkeys(tried)))
-            live = [se for se in ranked if not self.storage_down(se)]
-            if not live:
-                # Every healthy replica is behind an outage: wait for the
-                # earliest one to come back, then re-evaluate.  Outage
-                # windows are finite, so this terminates.
-                resume = min(
-                    self.entity_next_up(se.name, se.site, engine.now) for se in ranked
-                )
-                if resume <= engine.now:
+        draws = network_faulty or self.durability.active
+        total = pending = 0.0
+        for gfn in gfns:
+            file = self.catalog.lookup(gfn)
+            sites_tried: List[str] = []
+            elapsed = 0.0
+            failures = 0
+            while True:
+                ranked = self.catalog.failover_order(gfn, site)
+                now = engine.now + pending
+                live = [se for se in ranked if not self.storage_down(se, now)]
+                if pending > 0 and (draws or not live):
+                    yield engine.timeout(pending)
+                    pending = 0.0
                     continue
-                self._counter("grid.transfer.outage_waits")
-                yield engine.timeout(resume - engine.now)
-                continue
-            faulted = False
-            for se in live:
-                outcome = (
-                    self.durability.access_outcome(replica_rng)
-                    if durability_on
-                    else "ok"
-                )
-                if outcome == "lost":
+                if not ranked:
+                    tried = sites_tried or [se.site for se in self.catalog.replicas(gfn)]
+                    raise ReplicaUnavailableError(gfn, tuple(dict.fromkeys(tried)))
+                if not live:
+                    # Every healthy replica is behind an outage: wait for
+                    # the earliest one to come back, then re-evaluate.
+                    # Outage windows are finite, so this terminates.
+                    yield from self._outage_wait(ranked)
+                    continue
+                for se in live:
+                    outcome = self.durability.access_outcome(replica_rng)
+                    if outcome != "lost":
+                        break
                     # Metadata says the replica exists but the bytes are
                     # gone — detected instantly, fail over in place.
                     se.mark_lost(gfn)
                     sites_tried.append(se.site)
                     self._counter("grid.replicas.lost")
-                    self._chaos_span(
-                        "replica.loss", engine.now, se=se.name, gfn=gfn
-                    )
+                    self._chaos_span("replica.loss", engine.now, se=se.name, gfn=gfn)
+                else:
+                    # every live candidate was discovered lost; re-rank
+                    # (the next pass either finds a survivor or raises)
                     continue
-                started = engine.now
-                seconds = self.network.raw_transfer_time(
-                    se.site, site, file.size, now=engine.now
-                )
                 if outcome == "corrupt":
                     # The copy completes, then checksum verification
                     # rejects it: time wasted, replica quarantined.
-                    yield engine.timeout(seconds)
-                    elapsed += seconds
-                    se.quarantine(gfn)
                     sites_tried.append(se.site)
                     failures += 1
-                    last_error = f"checksum mismatch from {se.name} (expected {file.checksum})"
-                    self._counter("grid.replicas.quarantined")
-                    self._chaos_span(
-                        "replica.corruption", started, se=se.name, gfn=gfn
+                    elapsed += yield from self._failed_copy(
+                        se.site, site, file, now, failures,
+                        f"checksum mismatch from {se.name} (expected {file.checksum})",
+                        quarantine=se, se=se.name,
                     )
-                    faulted = True
-                    break
+                    continue
                 if network_faulty and float(fault_rng.random()) < (
                     self.network.failure_probability_for(se.site, site)
                 ):
-                    # Mid-flight transfer failure: the time is spent, the
-                    # bytes never land (so the ledger never sees them).
-                    yield engine.timeout(seconds)
-                    elapsed += seconds
                     sites_tried.append(se.site)
                     failures += 1
-                    last_error = f"transfer from {se.name} to {site} failed"
-                    self._counter("grid.transfer.failures")
-                    self._chaos_span(
-                        "transfer.fault", started, src=se.site, dst=site, gfn=gfn
+                    elapsed += yield from self._failed_copy(
+                        se.site, site, file, now, failures,
+                        f"transfer from {se.name} to {site} failed", src=se.site, dst=site,
                     )
-                    faulted = True
-                    break
-                self.transfer_context = self._transfer_attribution(purpose, gfn, record)
-                try:
-                    seconds = self.network.transfer_time(
-                        se.site, site, file.size, now=engine.now
-                    )
-                finally:
-                    self.transfer_context = None
-                yield engine.timeout(seconds)
-                return elapsed + seconds
-            if not faulted:
-                # every live candidate was discovered lost; re-rank (the
-                # next pass either finds a survivor or raises).
-                continue
-            if failures >= max_attempts:
-                raise TransferFailedError(gfn, failures, last_error)
-            self._counter("grid.transfer.retries")
-            delay = policy.backoff(failures, backoff_rng)
-            if delay > 0:
-                yield engine.timeout(delay)
+                    continue
+                seconds = self.stage_in_time(file, se.site, site, now, record)
+                pending += seconds
+                total += elapsed + seconds
+                break
+        if pending > 0:
+            yield engine.timeout(pending)
+        return total
 
     def _stage_out_target(self, site: str, now: float) -> Optional[StorageElement]:
-        """The SE a produced file goes to under chaos: the local SE,
-        else the default site's, else the first live SE by name; None
-        when every SE is down."""
-        ordered: List[StorageElement] = []
-        local = self.storage_at(site)
-        if local is not None:
-            ordered.append(local)
-        default = self.default_site.storage_element
-        if default not in ordered:
-            ordered.append(default)
-        for se in sorted(self._storage_by_site.values(), key=lambda s: s.name):
-            if se not in ordered:
-                ordered.append(se)
-        for se in ordered:
-            if not self.storage_down(se, now):
+        """The SE a produced file goes to: the local SE, else the default
+        site's, else the first live SE by name; None when every SE is
+        down."""
+        local, default = self.storage_at(site), self.storage_at(self.default_site.name)
+        for se in (local, default, *self._storage_elements):
+            if se is not None and not self.storage_down(se, now):
                 return se
         return None
 
-    def stage_out_process(self, file: LogicalFile, site: str, record: Optional[JobRecord] = None):
-        """Stage a produced *file* out from *site* under chaos; generator.
+    def stage_out_process(
+        self, files: Sequence[LogicalFile], site: str, record: Optional[JobRecord] = None
+    ):
+        """Stage the produced *files* out from *site*; generator, returns seconds.
 
         Fails over to the default site's SE (then any live SE) when the
         local one is down, retries failed transfers with backoff, and
-        registers the file on the SE that actually received it.
-        Returns the seconds spent.
+        registers each file on the SE that actually received it.
+
+        The pending-time rule keeps one staging path cheap on every
+        grid: a clean copy only adds its seconds to a pending time,
+        which is slept (and the files copied so far registered) before
+        a draw from a shared stream, a catalog registration or an
+        outage wait; outage and brown-out checks read
+        ``engine.now + pending``.  A fault-free job sleeps once.
         """
         engine = self.engine
-        policy = self.transfer_retry
-        max_attempts = policy.max_attempts if policy.max_attempts is not None else 4
-        backoff_rng = self.streams.get("transfer-backoff")
         fault_rng = self.streams.get("transfer-faults")
         network_faulty = self.network.has_faults
-        elapsed = 0.0
-        failures = 0
-        last_error = "no transfer attempted"
-        while True:
-            target = self._stage_out_target(site, engine.now)
-            if target is None:
-                resume = min(
-                    self.entity_next_up(se.name, se.site, engine.now)
-                    for se in self._storage_by_site.values()
-                )
-                if resume <= engine.now:
+        total = pending = 0.0
+        copied: List[Tuple[LogicalFile, StorageElement]] = []
+
+        def settle():
+            nonlocal pending
+            if pending > 0:
+                yield engine.timeout(pending)
+                pending = 0.0
+            for done, target in copied:
+                self._minted_gfns.add(done.gfn)
+                self.catalog.register(done, target)
+            copied.clear()
+
+        for file in files:
+            elapsed = 0.0
+            failures = 0
+            while True:
+                now = engine.now + pending
+                target = self._stage_out_target(site, now)
+                if copied and (network_faulty or target is None):
+                    yield from settle()
                     continue
-                self._counter("grid.transfer.outage_waits")
-                yield engine.timeout(resume - engine.now)
-                continue
-            started = engine.now
-            seconds = self.network.raw_transfer_time(
-                site, target.site, file.size, now=engine.now
-            )
-            if network_faulty and float(fault_rng.random()) < (
-                self.network.failure_probability_for(site, target.site)
-            ):
-                yield engine.timeout(seconds)
-                elapsed += seconds
-                failures += 1
-                last_error = f"transfer from {site} to {target.name} failed"
-                self._counter("grid.transfer.failures")
-                self._chaos_span(
-                    "transfer.fault", started, src=site, dst=target.site, gfn=file.gfn
-                )
-                if failures >= max_attempts:
-                    raise TransferFailedError(file.gfn, failures, last_error)
-                self._counter("grid.transfer.retries")
-                delay = policy.backoff(failures, backoff_rng)
-                if delay > 0:
-                    yield engine.timeout(delay)
-                continue
-            self.transfer_context = self._transfer_attribution(
-                "stage-out", file.gfn, record
-            )
-            try:
-                seconds = self.network.transfer_time(
-                    site, target.site, file.size, now=engine.now
-                )
-            finally:
-                self.transfer_context = None
-            yield engine.timeout(seconds)
-            self._minted_gfns.add(file.gfn)
-            self.catalog.register(file, target)
-            return elapsed + seconds
+                if target is None:
+                    yield from self._outage_wait(self._storage_elements)
+                    continue
+                if network_faulty and float(fault_rng.random()) < (
+                    self.network.failure_probability_for(site, target.site)
+                ):
+                    failures += 1
+                    elapsed += yield from self._failed_copy(
+                        site, target.site, file, now, failures,
+                        f"transfer from {site} to {target.name} failed",
+                        src=site, dst=target.site,
+                    )
+                    continue
+                seconds = self._copy_time("stage-out", file, site, target.site, now, record)
+                pending += seconds
+                copied.append((file, target))
+                total += elapsed + seconds
+                break
+        yield from settle()
+        return total
 
     def _outage_beacon(self):
         """Emit a ground-truth ``se.outage`` span at each SE down-window.
@@ -590,7 +558,7 @@ class Grid:
         """
         engine = self.engine
         events = []
-        for se in sorted(self._storage_by_site.values(), key=lambda s: s.name):
+        for se in self._storage_elements:
             for subject in dict.fromkeys((se.name, se.site)):
                 for start, end in self.outages.down_windows(subject):
                     events.append((start, end, se.name))
@@ -635,24 +603,15 @@ class Grid:
             if not live or len(healthy) >= self.repair_target:
                 continue
             holders = {se.name for se in healthy}
-            targets = sorted(
-                (
-                    se
-                    for se in self._storage_by_site.values()
-                    if se.name not in holders and not self.storage_down(se)
-                ),
-                key=lambda se: se.name,
-            )
+            targets = [
+                se
+                for se in self._storage_elements
+                if se.name not in holders and not self.storage_down(se)
+            ]
             src = live[0]
             file = self.catalog.lookup(gfn)
             for dst in targets[: self.repair_target - len(healthy)]:
-                self.transfer_context = TransferContext(purpose="repair", gfn=gfn)
-                try:
-                    seconds = self.network.transfer_time(
-                        src.site, dst.site, file.size, now=engine.now
-                    )
-                finally:
-                    self.transfer_context = None
+                seconds = self._copy_time("repair", file, src.site, dst.site, engine.now)
                 yield engine.timeout(seconds)
                 self.catalog.register(file, dst)
                 self._counter("grid.repair.transfers")

@@ -91,7 +91,7 @@ class ComputingElement:
         # Entries pulled off the queue by the dispatch loop but still
         # waiting for a worker slot; counted as queued for load purposes.
         self._dispatching = 0
-        #: set by Grid when it adopts this CE; drives stage-in/out timing
+        #: set by Grid when it adopts this CE; stages its jobs' files
         self.grid: Optional["Grid"] = None
         # Instance-owned fallback for grid-less CEs (unit tests): a
         # module-global generator here would couple the draws of every
@@ -258,41 +258,16 @@ class ComputingElement:
             bus = grid.instrumentation if grid is not None else None
 
             # Stage in: pull every input file from its closest replica.
-            # Byte totals accumulate as ints (LogicalFile sizes are
-            # interned): per-link sums stay equal to global totals.
-            stage_in = 0.0
-            stage_in_bytes = 0
+            inputs = record.description.input_files
             stage_in_start = engine.now
-            if grid is not None and grid.chaos_enabled:
-                # Chaos path: per-file retry/failover generators (the
-                # bulk path below cannot express mid-transfer faults).
-                for gfn in record.description.input_files:
-                    stage_in += yield from grid.stage_in_process(gfn, self.site, record)
-                    stage_in_bytes += grid.catalog.lookup(gfn).size
-            elif grid is not None:
-                for gfn in record.description.input_files:
-                    stage_in += grid.stage_in_time(gfn, self.site, record)
-                    stage_in_bytes += grid.catalog.lookup(gfn).size
-            if stage_in > 0 and not (grid is not None and grid.chaos_enabled):
-                yield engine.timeout(stage_in)
-            record.stage_in_time = stage_in
-            if bus is not None and record.description.input_files:
-                bus.metrics.counter("grid.transfer.bytes_in").inc(stage_in_bytes)
-                bus.record(
-                    "job.stage_in",
-                    "grid",
-                    stage_in_start,
-                    engine.now,
-                    parent=grid.attempt_span(record.job_id),
-                    job_id=record.job_id,
-                    ce=self.name,
-                    files=len(record.description.input_files),
-                    bytes=stage_in_bytes,
-                    **{
-                        key: record.description.tags[key]
-                        for key in ("tenant", "run")
-                        if key in record.description.tags
-                    },
+            if grid is not None:
+                record.stage_in_time = yield from grid.stage_in_process(inputs, self.site, record)
+            if bus is not None and inputs:
+                # Byte totals accumulate as ints (LogicalFile sizes are
+                # interned): per-link sums stay equal to global totals.
+                self._record_staging(
+                    "in", record, stage_in_start, len(inputs),
+                    sum(grid.catalog.lookup(gfn).size for gfn in inputs),
                 )
 
             # Execute the payload for its sampled duration.
@@ -303,44 +278,16 @@ class ComputingElement:
             record.execution_time = duration
 
             # Stage out: push and register produced files.
-            stage_out = 0.0
-            stage_out_bytes = 0
+            outputs = record.description.output_files
             stage_out_start = engine.now
-            if grid is not None and grid.chaos_enabled:
-                # Chaos path: the generator registers each file on the
-                # SE that actually received it (local SE may be down).
-                for produced in record.description.output_files:
-                    stage_out += yield from grid.stage_out_process(
-                        produced, self.site, record
-                    )
-                    stage_out_bytes += produced.size
-            elif grid is not None:
-                for produced in record.description.output_files:
-                    stage_out += grid.stage_out_time(produced, self.site, record)
-                    stage_out_bytes += produced.size
-            if stage_out > 0 and not (grid is not None and grid.chaos_enabled):
-                yield engine.timeout(stage_out)
-            record.stage_out_time = stage_out
-            if grid is not None and not grid.chaos_enabled:
-                for produced in record.description.output_files:
-                    grid.register_output(produced, self.site)
-            if bus is not None and record.description.output_files:
-                bus.metrics.counter("grid.transfer.bytes_out").inc(stage_out_bytes)
-                bus.record(
-                    "job.stage_out",
-                    "grid",
-                    stage_out_start,
-                    engine.now,
-                    parent=grid.attempt_span(record.job_id),
-                    job_id=record.job_id,
-                    ce=self.name,
-                    files=len(record.description.output_files),
-                    bytes=stage_out_bytes,
-                    **{
-                        key: record.description.tags[key]
-                        for key in ("tenant", "run")
-                        if key in record.description.tags
-                    },
+            if grid is not None:
+                record.stage_out_time = yield from grid.stage_out_process(
+                    outputs, self.site, record
+                )
+            if bus is not None and outputs:
+                self._record_staging(
+                    "out", record, stage_out_start, len(outputs),
+                    sum(produced.size for produced in outputs),
                 )
 
             # Evaluate the Python payload: real outputs for simulated work.
@@ -357,6 +304,26 @@ class ComputingElement:
         finally:
             self._running -= 1
             self._slots.release(slot_request)
+
+    def _record_staging(
+        self, direction: str, record: JobRecord, start: float, files: int, nbytes: int
+    ) -> None:
+        """Count and trace one finished stage-in or stage-out ("in"/"out")."""
+        grid = self.grid
+        bus = grid.instrumentation
+        bus.metrics.counter(f"grid.transfer.bytes_{direction}").inc(nbytes)
+        bus.record(
+            f"job.stage_{direction}",
+            "grid",
+            start,
+            self.engine.now,
+            parent=grid.attempt_span(record.job_id),
+            job_id=record.job_id,
+            ce=self.name,
+            files=files,
+            bytes=nbytes,
+            **grid._tenancy(record),
+        )
 
     def __repr__(self) -> str:
         return (

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Set
 
 from repro.util.units import MEBIBYTE
 
@@ -166,17 +166,6 @@ class ReplicaCatalog:
         """Register a registration observer (multicast; fires in add order)."""
         self.observers.append(observer)
         return observer
-
-    @property
-    def on_register(self) -> Optional[Callable[[LogicalFile, StorageElement], None]]:
-        """Single-callable compatibility view (see ``NetworkModel.on_transfer``)."""
-        return self.observers[0] if self.observers else None
-
-    @on_register.setter
-    def on_register(
-        self, observer: Optional[Callable[[LogicalFile, StorageElement], None]]
-    ) -> None:
-        self.observers[:] = [] if observer is None else [observer]
 
     def register(self, file: LogicalFile, element: StorageElement) -> None:
         """Register (or add a replica of) *file* on *element*."""

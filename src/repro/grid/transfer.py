@@ -141,21 +141,6 @@ class NetworkModel:
             pass
 
     @property
-    def on_transfer(self) -> Optional[TransferObserver]:
-        """Single-callable compatibility view of the observer list.
-
-        Reading yields the first observer (None when empty); assigning
-        *replaces* the whole list — the historical single-slot
-        semantics.  New code should use :meth:`add_observer`, which
-        composes instead of clobbering.
-        """
-        return self.observers[0] if self.observers else None
-
-    @on_transfer.setter
-    def on_transfer(self, observer: Optional[TransferObserver]) -> None:
-        self.observers[:] = [] if observer is None else [observer]
-
-    @property
     def has_faults(self) -> bool:
         """True when any transfer attempt can fail."""
         return self.failure_probability > 0.0 or any(
@@ -186,9 +171,9 @@ class NetworkModel:
     ) -> float:
         """Transfer seconds *without* firing observers.
 
-        The chaos stage-in path prices doomed attempts with this (a
+        The grid's staging path prices failed copies with this (a
         failed transfer delivers no bytes, so it must not enter the
-        byte ledger) and only reports the final successful copy through
+        byte ledger) and only reports each successful copy through
         :meth:`transfer_time`.  Passing *now* applies any degraded
         windows live at that instant.
         """

@@ -90,7 +90,7 @@ class DataFlowCollector(Subscriber):
         self._grid = grid
         self._clock = lambda: grid.engine.now
         grid.network.add_observer(self._on_network_transfer)
-        grid.catalog.add_observer(self._on_register)
+        grid.catalog.add_observer(self._on_catalog_register)
         if grid.instrumentation is not None:
             grid.instrumentation.subscribe(self)
         return self
@@ -128,7 +128,7 @@ class DataFlowCollector(Subscriber):
             )
         self.records.append(record)
 
-    def _on_register(self, file, element) -> None:
+    def _on_catalog_register(self, file, element) -> None:
         site = element.site
         self.site_replicas[site] = self.site_replicas.get(site, 0) + 1
         self.site_occupancy[site] = self.site_occupancy.get(site, 0) + int(file.size)

@@ -13,7 +13,9 @@ from repro.grid.middleware import Grid
 from repro.grid.overhead import OverheadModel
 from repro.grid.resources import ComputingElement, Site, WorkerNode
 from repro.grid.storage import LogicalFile, ReplicaUnavailableError, StorageElement
-from repro.grid.transfer import LinkParameters, NetworkModel
+from repro.grid.transfer import DegradedWindow, LinkParameters, NetworkModel
+from repro.sim.engine import Engine
+from repro.util.rng import RandomStreams
 from repro.util.units import MEBIBYTE
 
 
@@ -59,7 +61,6 @@ class TestOutageWaits:
             streams,
             outages=OutageSchedule.from_windows({"se1": [(0.0, 500.0)]}),
         )
-        assert grid.chaos_enabled
         file = LogicalFile("gfn://input", size=1 * MEBIBYTE)
         grid.add_input_file(file, site_name="s1")
         handle = grid.submit(
@@ -151,7 +152,6 @@ class TestRepair:
         grid = two_site_grid(
             engine, streams, repair_target=2, repair_interval=50.0
         )
-        assert grid.chaos_enabled
         file = LogicalFile("gfn://precious", size=1 * MEBIBYTE)
         grid.add_input_file(file, site_name="s0")
         assert grid.catalog.healthy_replica_count(file.gfn) == 1
@@ -222,3 +222,31 @@ class TestChaosDeterminism:
         _, _, _, makespan_a = self.run_chaotic_bronze(42)
         _, _, _, makespan_b = self.run_chaotic_bronze(7)
         assert makespan_a != makespan_b
+
+
+class TestBrownOuts:
+    """A degraded window prices stage-in on any grid, chaos or not."""
+
+    @staticmethod
+    def stage_in_seconds(engine, network):
+        site = Site(
+            "s0",
+            [ComputingElement(engine, "ce0", "s0", workers=[WorkerNode("w0")])],
+            StorageElement("se0", site="s0"),
+        )
+        grid = Grid(
+            engine, RandomStreams(seed=0), sites=[site], overhead=OverheadModel.zero(),
+            network=network,
+        )
+        file = LogicalFile("gfn://big", size=50 * MEBIBYTE)
+        grid.add_input_file(file)
+        handle = grid.submit(JobDescription(name="j", input_files=(file.gfn,)))
+        return engine.run(until=handle.completion).stage_in_time
+
+    def test_window_alone_slows_stage_in(self):
+        plain = self.stage_in_seconds(Engine(), NetworkModel())
+        degraded = self.stage_in_seconds(
+            Engine(), NetworkModel(degraded_windows=(DegradedWindow(0.0, 1e6, 2.0),))
+        )
+        assert plain == pytest.approx(0.6)  # LAN: 0.1 s + 50 MiB at 100 MiB/s
+        assert degraded == 2.0 * plain

@@ -144,16 +144,3 @@ class TestCatalogObservers:
         catalog.add_observer(lambda file, element: seen.append((file.gfn, element.name)))
         catalog.register(LogicalFile("gfn://a"), se)
         assert seen == [("gfn://a", "se0")]
-
-    def test_on_register_compat_single_slot(self):
-        catalog = ReplicaCatalog()
-        se = StorageElement("se0", site="s0")
-        assert catalog.on_register is None
-        first, second = [], []
-        catalog.on_register = lambda f, e: first.append(f.gfn)
-        catalog.register(LogicalFile("gfn://a"), se)
-        catalog.on_register = lambda f, e: second.append(f.gfn)
-        catalog.register(LogicalFile("gfn://b"), se)
-        assert first == ["gfn://a"] and second == ["gfn://b"]
-        catalog.on_register = None
-        assert catalog.observers == []

@@ -80,24 +80,3 @@ class TestTransferObservers:
         model.transfer_time("a", "b", 1)
         assert calls == []
         model.remove_observer(observer)  # removing twice is a no-op
-
-    def test_on_transfer_compat_single_slot(self):
-        """The historical single-callable hook still works as before."""
-        model = NetworkModel.instantaneous()
-        assert model.on_transfer is None
-        first, second = [], []
-        model.on_transfer = lambda *args: first.append(args)
-        model.transfer_time("a", "b", 1)
-        # assigning replaces (old semantics), never accumulates
-        model.on_transfer = lambda *args: second.append(args)
-        model.transfer_time("a", "b", 1)
-        assert len(first) == 1 and len(second) == 1
-        assert model.on_transfer is not None
-        model.on_transfer = None
-        assert model.observers == []
-
-    def test_on_transfer_getter_reads_first_observer(self):
-        model = NetworkModel()
-        observer = model.add_observer(lambda *args: None)
-        model.add_observer(lambda *args: None)
-        assert model.on_transfer is observer

@@ -98,6 +98,12 @@ class TestCollectorAccounting:
         assert collector.phase_bytes["stage_out"] == purposes.get("stage-out", 0)
 
 
+def run_staging(grid, staging):
+    """Drive one staging generator to completion on the grid's engine."""
+    grid.engine.process(staging)
+    grid.engine.run()
+
+
 class TestPurposeClassification:
     def test_cache_refill_purpose(self):
         engine = Engine()
@@ -105,7 +111,7 @@ class TestPurposeClassification:
         collector = DataFlowCollector().attach(grid)
         site = grid.default_site.name
         grid.add_input_file(LogicalFile("gfn://warm", size=1024), cache_refill=True)
-        grid.stage_in_time("gfn://warm", site)
+        run_staging(grid, grid.stage_in_process(["gfn://warm"], site))
         assert [r.purpose for r in collector.records] == ["cache-refill"]
 
     def test_minted_output_stages_in_as_intermediate(self):
@@ -114,25 +120,24 @@ class TestPurposeClassification:
         collector = DataFlowCollector().attach(grid)
         site = grid.default_site.name
         produced = LogicalFile("gfn://minted", size=2048)
-        grid.register_output(produced, site)
-        grid.stage_in_time("gfn://minted", site)
-        assert [r.purpose for r in collector.records] == ["intermediate"]
+        run_staging(grid, grid.stage_out_process([produced], site))
+        run_staging(grid, grid.stage_in_process(["gfn://minted"], site))
+        assert [r.purpose for r in collector.records] == ["stage-out", "intermediate"]
 
     def test_plain_input_stages_in_as_stage_in(self):
         engine = Engine()
         grid = ideal_testbed(engine, RandomStreams(seed=1))
         collector = DataFlowCollector().attach(grid)
         grid.add_input_file(LogicalFile("gfn://cold", size=512))
-        grid.stage_in_time("gfn://cold", grid.default_site.name)
+        run_staging(grid, grid.stage_in_process(["gfn://cold"], grid.default_site.name))
         assert [r.purpose for r in collector.records] == ["stage-in"]
 
     def test_stage_out_purpose(self):
         engine = Engine()
         grid = ideal_testbed(engine, RandomStreams(seed=1))
         collector = DataFlowCollector().attach(grid)
-        grid.stage_out_time(
-            LogicalFile("gfn://out", size=256), grid.default_site.name
-        )
+        out = LogicalFile("gfn://out", size=256)
+        run_staging(grid, grid.stage_out_process([out], grid.default_site.name))
         assert [r.purpose for r in collector.records] == ["stage-out"]
 
     def test_unattributed_network_watch(self):
