@@ -1,5 +1,9 @@
 """Tests for dot/cross iteration strategies."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.core.iteration import IterationEngine, expected_bindings
@@ -88,6 +92,86 @@ class TestDotProduct:
         assert len(eng.offer("b", derived("P", token("S", 0)))) == 1
         # a second b-token for the same item finds no unconsumed partner
         assert eng.offer("b", derived("P", token("S", 0))) == []
+
+    def test_array_payloads_consumed_without_comparison(self):
+        # Tokens compare by payload; a numpy payload has no truth value,
+        # so consumption must not look for the partner with ==.
+        eng = IterationEngine(("left", "right"), "dot")
+        s0, s1 = token("S", 0), token("S", 1)
+        left1 = DataToken(GridData(value=np.ones(3)), derived("P1", s1).history)
+        left0 = DataToken(GridData(value=np.ones(3)), derived("P1", s0).history)
+        eng.offer("left", left1)
+        eng.offer("left", left0)
+        bindings = eng.offer("right", derived("P2", s0))
+        assert len(bindings) == 1 and bindings[0]["left"] is left0
+        assert eng.buffered("left") == 1
+        assert eng.offer("right", derived("P2", s1))[0]["left"] is left1
+
+    def test_equal_tokens_consume_the_matched_object(self):
+        eng = IterationEngine(("a", "b"), "dot")
+        first, second = token("S", 0), token("S", 0)
+        assert first == second and first is not second
+        eng.offer("a", first)
+        eng.offer("a", second)
+        assert eng.offer("b", derived("P", token("S", 0)))[0]["a"] is first
+        assert eng.offer("b", derived("P", token("S", 0)))[0]["a"] is second
+        assert eng.buffered("a") == 0
+
+
+class TestDotProductCost:
+    @staticmethod
+    def lineage_reads_per_offer(monkeypatch, n):
+        """Lineage reads per offer for *n* pairs arriving in reverse order."""
+        sources = [token("S", i) for i in range(n)]
+        offers = [("left", derived("P1", s)) for s in sources]
+        offers += [("right", derived("P2", s)) for s in reversed(sources)]
+        reads = [0]
+        lineage = HistoryTree.lineage
+
+        def counted(tree):
+            reads[0] += 1
+            return lineage.fget(tree)
+
+        eng = IterationEngine(("left", "right"), "dot")
+        with monkeypatch.context() as patch:
+            patch.setattr(HistoryTree, "lineage", property(counted))
+            fired = sum(len(eng.offer(port, tok)) for port, tok in offers)
+        assert fired == n
+        return reads[0] / len(offers)
+
+    def test_lineage_reads_per_offer_flat_in_buffer_size(self, monkeypatch):
+        small = self.lineage_reads_per_offer(monkeypatch, 100)
+        large = self.lineage_reads_per_offer(monkeypatch, 2000)
+        assert large <= 1.3 * small, (small, large)
+
+
+class TestDotProductMemory:
+    def test_consumed_tokens_are_released(self):
+        # Port c's tokens derive from S and T; offers on a and b look c
+        # up by S alone and by T alone, so c's buffer holds two indices
+        # and consumption must clear both.
+        def pair_source(i):
+            parents = (HistoryTree.leaf("S", i), HistoryTree.leaf("T", i))
+            return DataToken(GridData(value=f"c{i}"), HistoryTree.derive("X", parents))
+
+        eng = IterationEngine(("c", "a", "b"), "dot")
+        # offered first and never matched, it must outlive the others
+        leftover = pair_source(9)
+        offers = [("c", leftover)] + [("c", pair_source(i)) for i in range(4)]
+        offers += [("a", derived("A", token("S", i))) for i in range(4)]
+        offers += [("b", derived("B", token("T", i))) for i in reversed(range(4))]
+        refs = [weakref.ref(tok) for _, tok in offers]
+        fired = [eng.offer(port, tok) for port, tok in offers]
+        assert sum(len(bindings) for bindings in fired) == 4
+        assert [eng.buffered(port) for port in "cab"] == [1, 0, 0]
+        assert "ports={'c': 1, 'a': 0, 'b': 0}" in repr(eng)
+        del fired, offers
+        gc.collect()
+        assert [ref() for ref in refs] == [leftover] + [None] * 12
+        # no index still offers a consumed token
+        for i in range(4):
+            assert eng.offer("b", derived("B", token("T", i))) == []
+        assert [eng.buffered(port) for port in "cab"] == [1, 0, 4]
 
 
 class TestCrossProduct:

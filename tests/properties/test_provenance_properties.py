@@ -3,6 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.failures import InvocationFailure
 from repro.core.iteration import IterationEngine
 from repro.core.provenance import HistoryTree, compatible
 from repro.core.tokens import DataToken
@@ -15,6 +16,71 @@ def token(source, index):
 
 def derived(producer, base):
     return DataToken(GridData(value=base.value), HistoryTree.derive(producer, (base.history,)))
+
+
+class GreedyScan:
+    """Reference dot-product matcher: the arrival-order scan over each
+    port's buffer that the indexed :class:`IterationEngine` replaced."""
+
+    def __init__(self, ports):
+        self.ports = tuple(ports)
+        self._buffers = {port: [] for port in ports}
+
+    def offer(self, port, token):
+        self._buffers[port].append(token)
+        binding = self._try_match(port, token)
+        if binding is None:
+            return []
+        for bport, btoken in binding.items():
+            self._buffers[bport].remove(btoken)
+        return [binding]
+
+    def _try_match(self, port, token):
+        chosen = {port: token}
+        for other in self.ports:
+            if other == port:
+                continue
+            found = None
+            for candidate in self._buffers[other]:
+                if all(compatible(candidate.history, t.history) for t in chosen.values()):
+                    found = candidate
+                    break
+            if found is None:
+                return None
+            chosen[other] = found
+        return chosen
+
+    def buffered(self, port):
+        return len(self._buffers[port])
+
+
+#: sources the ports share (S, T) or may share (U), besides one private
+#: source per port, so lineages are shared, partly shared or independent
+SHARED_SOURCES = ("S", "T", "U")
+POISON = InvocationFailure(processor="P", label="D0", lineage={}, error="lost", failed_at=0.0)
+
+
+@st.composite
+def dot_streams(draw):
+    """Ports and a shuffled stream of (port, token) offers to them."""
+    ports = ("a", "b", "c")[: draw(st.integers(2, 3))]
+    offers = []
+    for serial in range(draw(st.integers(0, 24))):
+        port = draw(st.sampled_from(ports))
+        sources = draw(
+            st.lists(st.sampled_from(SHARED_SOURCES + (f"own-{port}",)), max_size=3, unique=True)
+        )
+        parents = []
+        for source in sources:
+            if draw(st.booleans()):
+                parents.append(HistoryTree.leaf(source, draw(st.integers(0, 3))))
+            else:  # a synchronization barrier's multi-index lineage, D(0-k)
+                leaves = [HistoryTree.leaf(source, i) for i in range(draw(st.integers(1, 3)))]
+                parents.append(HistoryTree.derive("barrier", tuple(leaves)))
+        failure = POISON if draw(st.integers(0, 4)) == 0 else None
+        history = HistoryTree.derive(f"P-{port}", tuple(parents))
+        offers.append((port, DataToken(GridData(value=serial), history, failure)))
+    return ports, draw(st.permutations(offers))
 
 
 class TestCompatibilityProperties:
@@ -77,6 +143,16 @@ class TestDotProductProperties:
         for j in range(m):
             fired += len(eng.offer("b", token("B", j)))
         assert fired == min(n, m)
+
+    @given(dot_streams())
+    def test_indexed_matching_equals_greedy_scan(self, stream):
+        ports, offers = stream
+        engine, oracle = IterationEngine(ports, "dot"), GreedyScan(ports)
+        for port, tok in offers:
+            got = [[(p, id(t)) for p, t in b.items()] for b in engine.offer(port, tok)]
+            want = [[(p, id(t)) for p, t in b.items()] for b in oracle.offer(port, tok)]
+            assert got == want
+            assert [engine.buffered(p) for p in ports] == [oracle.buffered(p) for p in ports]
 
 
 class TestCrossProductProperties:
