@@ -11,17 +11,20 @@ with the standard quaternion-averaging method (the eigenvector of the
 accumulated outer-product matrix — Markley et al.), which is exact for
 the small dispersions involved.
 
-Everything is numpy/scipy; no simulation concepts — these are the
-honest data products flowing through the simulated services.
+Quaternions are ``(x, y, z, w)`` arrays (vector part first, scalar
+last) multiplied with the Hamilton product, where ``p ⊗ q`` rotates by
+``q`` first, then by ``p``.  Everything is plain numpy and :mod:`math`;
+no simulation concepts — these are the honest data products flowing
+through the simulated services.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 __all__ = ["RigidTransform", "mean_transform", "rotation_angle_deg"]
 
@@ -40,11 +43,57 @@ def _normalize_quaternion(quat: np.ndarray) -> np.ndarray:
     return quat
 
 
+def _product(p: Sequence[float], q: Sequence[float]) -> List[float]:
+    """Hamilton product ``p ⊗ q``: rotate by *q*, then by *p*."""
+    px, py, pz, pw = p
+    qx, qy, qz, qw = q
+    return [
+        pw * qx + qw * px + (py * qz - pz * qy),
+        pw * qy + qw * py + (pz * qx - px * qz),
+        pw * qz + qw * pz + (px * qy - py * qx),
+        pw * qw - px * qx - py * qy - pz * qz,
+    ]
+
+
+def _conjugate(q: Sequence[float]) -> List[float]:
+    """The inverse rotation of the unit quaternion *q*."""
+    x, y, z, w = q
+    return [-x, -y, -z, w]
+
+
+def _matrix(q: Sequence[float]) -> np.ndarray:
+    """The 3x3 rotation matrix of the unit quaternion *q*."""
+    x, y, z, w = q
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array(
+        [
+            [x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+            [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+            [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2],
+        ]
+    )
+
+
+def _angle_deg(q: Sequence[float]) -> float:
+    """The rotation angle of *q* in degrees, in ``[0, 180]``."""
+    x, y, z, w = q
+    return math.degrees(2.0 * math.atan2(math.hypot(x, y, z), abs(w)))
+
+
+def _axis_quaternion(axis: int, angle_deg: float) -> List[float]:
+    """Rotation by *angle_deg* about coordinate axis *axis* (0, 1, 2 = x, y, z)."""
+    half = math.radians(angle_deg) / 2.0
+    quat = [0.0, 0.0, 0.0, math.cos(half)]
+    quat[axis] = math.sin(half)
+    return quat
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """A rigid spatial transform: rotation (unit quaternion) + translation.
 
-    The quaternion uses scipy's ``(x, y, z, w)`` convention and is kept
+    The quaternion is ``(x, y, z, w)``, scalar last, and is kept
     normalized with ``w >= 0`` so equal rotations compare equal.
     """
 
@@ -68,9 +117,16 @@ class RigidTransform:
     def from_euler_deg(
         cls, angles_deg: Sequence[float], translation: Sequence[float]
     ) -> "RigidTransform":
-        """From XYZ Euler angles in degrees plus a translation (mm)."""
-        rotation = Rotation.from_euler("xyz", angles_deg, degrees=True)
-        return cls(quaternion=rotation.as_quat(), translation=np.asarray(translation, float))
+        """From extrinsic XYZ Euler angles in degrees plus a translation (mm).
+
+        The x rotation applies first, then y, then z about the fixed
+        axes: ``q = qz ⊗ qy ⊗ qx``.
+        """
+        qx, qy, qz = (_axis_quaternion(axis, float(a)) for axis, a in enumerate(angles_deg))
+        return cls(
+            quaternion=_product(qz, _product(qy, qx)),
+            translation=np.asarray(translation, float),
+        )
 
     @classmethod
     def random(
@@ -88,26 +144,27 @@ class RigidTransform:
 
     # -- algebra ------------------------------------------------------------
     @property
-    def rotation(self) -> Rotation:
-        """The rotation part as a scipy Rotation."""
-        return Rotation.from_quat(self.quaternion)
+    def rotation(self) -> np.ndarray:
+        """The rotation part as a 3x3 matrix."""
+        return _matrix(self.quaternion.tolist())
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """``self ∘ other``: apply *other* first, then *self*."""
-        rotation = self.rotation * other.rotation
-        translation = self.rotation.apply(other.translation) + self.translation
-        return RigidTransform(quaternion=rotation.as_quat(), translation=translation)
+        return RigidTransform(
+            quaternion=_product(self.quaternion.tolist(), other.quaternion.tolist()),
+            translation=self.rotation @ other.translation + self.translation,
+        )
 
     def inverse(self) -> "RigidTransform":
         """The transform undoing this one."""
-        inv = self.rotation.inv()
         return RigidTransform(
-            quaternion=inv.as_quat(), translation=-inv.apply(self.translation)
+            quaternion=_conjugate(self.quaternion.tolist()),
+            translation=-(self.rotation.T @ self.translation),
         )
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform an ``(n, 3)`` (or ``(3,)``) point array."""
-        return self.rotation.apply(np.asarray(points, dtype=float)) + self.translation
+        return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
     def perturb(
         self,
@@ -130,8 +187,9 @@ class RigidTransform:
     # -- metrics -----------------------------------------------------------------
     def rotation_distance_deg(self, other: "RigidTransform") -> float:
         """Geodesic rotation distance in degrees."""
-        relative = self.rotation * other.rotation.inv()
-        return float(np.degrees(relative.magnitude()))
+        return _angle_deg(
+            _product(self.quaternion.tolist(), _conjugate(other.quaternion.tolist()))
+        )
 
     def translation_distance(self, other: "RigidTransform") -> float:
         """Euclidean distance between the translation parts."""
@@ -147,7 +205,7 @@ class RigidTransform:
         )
 
     def __repr__(self) -> str:
-        angle = float(np.degrees(self.rotation.magnitude()))
+        angle = _angle_deg(self.quaternion.tolist())
         t = self.translation
         return (
             f"RigidTransform(angle={angle:.2f}deg, "
@@ -176,4 +234,4 @@ def mean_transform(transforms: Sequence[RigidTransform]) -> RigidTransform:
 
 def rotation_angle_deg(transform: RigidTransform) -> float:
     """Magnitude of the rotation part, in degrees."""
-    return float(np.degrees(transform.rotation.magnitude()))
+    return _angle_deg(transform.quaternion.tolist())

@@ -195,8 +195,21 @@ def _make_testbed(args: argparse.Namespace, engine, streams):
     )
 
 
-def cmd_bronze(args: argparse.Namespace) -> int:
+def _bronze_setup(args: argparse.Namespace):
+    """A fresh engine, ``--seed`` streams, the ``--testbed`` grid and the
+    Bronze Standard on it: returns ``(app, grid, config)`` for ``--config``."""
     from repro.apps.bronze_standard import BronzeStandardApplication
+    from repro.sim.engine import Engine
+    from repro.util.rng import RandomStreams
+
+    engine = Engine()
+    streams = RandomStreams(seed=args.seed)
+    grid = _make_testbed(args, engine, streams)
+    app = BronzeStandardApplication(engine, grid, streams)
+    return app, grid, _config_by_label(args.config)
+
+
+def cmd_bronze(args: argparse.Namespace) -> int:
     from repro.experiments.analysis import job_statistics, overhead_breakdown
     from repro.observability import (
         ChromeTraceExporter,
@@ -206,16 +219,10 @@ def cmd_bronze(args: argparse.Namespace) -> int:
         RunMonitor,
     )
     from repro.observability.drift import policy_key
-    from repro.sim.engine import Engine
-    from repro.util.rng import RandomStreams
     from repro.util.units import format_duration
 
     out = cli_logger()
-    engine = Engine()
-    streams = RandomStreams(seed=args.seed)
-    grid = _make_testbed(args, engine, streams)
-    app = BronzeStandardApplication(engine, grid, streams)
-    config = _config_by_label(args.config)
+    app, grid, config = _bronze_setup(args)
     if args.best_effort:
         config = config.with_best_effort()
     if args.resume and not args.journal:
@@ -363,15 +370,8 @@ def cmd_report_failures(args: argparse.Namespace) -> int:
         rows = failure_rows_from_spans(spans)
         source = args.trace
     else:
-        from repro.apps.bronze_standard import BronzeStandardApplication
-        from repro.sim.engine import Engine
-        from repro.util.rng import RandomStreams
-
-        engine = Engine()
-        streams = RandomStreams(seed=args.seed)
-        grid = _make_testbed(args, engine, streams)
-        app = BronzeStandardApplication(engine, grid, streams)
-        config = _config_by_label(args.config).with_best_effort()
+        app, _grid, config = _bronze_setup(args)
+        config = config.with_best_effort()
         result = app.enact(config, n_pairs=args.pairs)
         assert result.failures is not None
         rows = result.failures.to_rows()
@@ -395,7 +395,6 @@ def cmd_report_failures(args: argparse.Namespace) -> int:
 
 def cmd_report_durability(args: argparse.Namespace) -> int:
     """Durability report for one best-effort run on the chaos testbed."""
-    from repro.apps.bronze_standard import BronzeStandardApplication
     from repro.observability import InstrumentationBus, RunMonitor
     from repro.observability.dataflow import DataFlowCollector
     from repro.observability.drift import policy_key
@@ -403,15 +402,10 @@ def cmd_report_durability(args: argparse.Namespace) -> int:
         build_durability_report,
         format_durability_report,
     )
-    from repro.sim.engine import Engine
-    from repro.util.rng import RandomStreams
 
     out = cli_logger()
-    engine = Engine()
-    streams = RandomStreams(seed=args.seed)
-    grid = _make_testbed(args, engine, streams)
-    app = BronzeStandardApplication(engine, grid, streams)
-    config = _config_by_label(args.config).with_best_effort()
+    app, grid, config = _bronze_setup(args)
+    config = config.with_best_effort()
     bus = InstrumentationBus()
     collector = DataFlowCollector().attach(grid)
     monitor = RunMonitor.attach(
@@ -460,17 +454,10 @@ def _instrumented_bronze(args: argparse.Namespace):
     consumer live health state and puts the ``monitor.alerts.*``
     counters into the run's metrics (and hence run-store summaries).
     """
-    from repro.apps.bronze_standard import BronzeStandardApplication
     from repro.observability import InstrumentationBus, RunMonitor
     from repro.observability.drift import policy_key
-    from repro.sim.engine import Engine
-    from repro.util.rng import RandomStreams
 
-    engine = Engine()
-    streams = RandomStreams(seed=args.seed)
-    grid = _make_testbed(args, engine, streams)
-    app = BronzeStandardApplication(engine, grid, streams)
-    config = _config_by_label(args.config)
+    app, grid, config = _bronze_setup(args)
     bus = InstrumentationBus()
     collector = bus.collector()
     monitor = RunMonitor.attach(
@@ -551,22 +538,15 @@ def cmd_report_health(args: argparse.Namespace) -> int:
 
 def cmd_report_dataflow(args: argparse.Namespace) -> int:
     """Per-link/per-service byte accounting of one instrumented run."""
-    from repro.apps.bronze_standard import BronzeStandardApplication
     from repro.observability import (
         DataFlowCollector,
         InstrumentationBus,
         dataflow_dot,
         format_dataflow_report,
     )
-    from repro.sim.engine import Engine
-    from repro.util.rng import RandomStreams
 
     out = cli_logger()
-    engine = Engine()
-    streams = RandomStreams(seed=args.seed)
-    grid = _make_testbed(args, engine, streams)
-    app = BronzeStandardApplication(engine, grid, streams)
-    config = _config_by_label(args.config)
+    app, grid, config = _bronze_setup(args)
     bus = InstrumentationBus()
     # Attach before enacting so the collector sees every transfer; the
     # grid has no bus yet at this point, so subscribe it explicitly for
@@ -701,16 +681,9 @@ def _load_profile(path: str):
 
 
 def cmd_profile_record(args: argparse.Namespace) -> int:
-    from repro.apps.bronze_standard import BronzeStandardApplication
     from repro.observability.profiling import record
-    from repro.sim.engine import Engine
-    from repro.util.rng import RandomStreams
 
-    engine = Engine()
-    streams = RandomStreams(seed=args.seed)
-    grid = _make_testbed(args, engine, streams)
-    app = BronzeStandardApplication(engine, grid, streams)
-    config = _config_by_label(args.config)
+    app, _grid, config = _bronze_setup(args)
     result, profile = record(
         lambda: app.enact(config, n_pairs=args.pairs),
         _profile_label("profile record", args),

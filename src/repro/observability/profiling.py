@@ -14,7 +14,7 @@ control flow, so same-seed profiles are byte-identical across processes
 and hash seeds (``Engine.schedule`` calls are the heap pushes,
 ``InstrumentationBus.begin`` calls the spans emitted).  The ``wall``
 clock weighs self microseconds and attributes code outside ``repro`` to
-its top-level package (``numpy``, ``scipy``, ...), ``stdlib`` or
+its top-level package (``numpy``, ...), ``stdlib`` or
 ``builtins``.
 
 A :class:`Profile` saves to canonical JSON, renders as a report or a

@@ -13,9 +13,8 @@ phrased in:
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Mapping, Optional, Tuple
-
-import networkx as nx
 
 from repro.workflow.graph import ProcessorKind, Workflow, WorkflowError
 
@@ -31,41 +30,85 @@ __all__ = [
 ]
 
 
-def processor_graph(workflow: Workflow, constraints: bool = False) -> nx.DiGraph:
-    """Collapse port-level links into a processor-level digraph.
+def processor_graph(workflow: Workflow, constraints: bool = False) -> Dict[str, List[str]]:
+    """Collapse port-level links into processor-level successor lists.
 
-    With ``constraints=True`` the coordination control links are
-    included as edges too (they constrain order like data links do).
+    Keys follow ``workflow.processors`` order; each list holds the
+    distinct successors in first-link order.  With ``constraints=True``
+    the coordination control links are included as edges too (they
+    constrain order like data links do).
     """
-    graph = nx.DiGraph()
-    for name in workflow.processors:
-        graph.add_node(name)
-    for link in workflow.links:
-        graph.add_edge(link.source.processor, link.target.processor)
+    graph: Dict[str, List[str]] = {name: [] for name in workflow.processors}
+    edges = [(link.source.processor, link.target.processor) for link in workflow.links]
     if constraints:
-        for before, after in workflow.coordination_constraints:
-            graph.add_edge(before, after)
+        edges.extend(workflow.coordination_constraints)
+    for before, after in edges:
+        if after not in graph[before]:
+            graph[before].append(after)
     return graph
+
+
+def _kahn_order(graph: Mapping[str, List[str]]) -> List[str]:
+    """Kahn's algorithm, the smallest ready name first.
+
+    A cyclic graph leaves its cycles (and everything downstream of
+    them) out, so the order is shorter than the graph.
+    """
+    indegree = {name: 0 for name in graph}
+    for successors in graph.values():
+        for name in successors:
+            indegree[name] += 1
+    ready = [name for name, degree in indegree.items() if degree == 0]
+    heapq.heapify(ready)
+    order: List[str] = []
+    while ready:
+        name = heapq.heappop(ready)
+        order.append(name)
+        for successor in graph[name]:
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                heapq.heappush(ready, successor)
+    return order
+
+
+def _acyclic_order(graph: Mapping[str, List[str]], caller: str) -> List[str]:
+    order = _kahn_order(graph)
+    if len(order) < len(graph):
+        raise WorkflowError(f"{caller} requires an acyclic workflow")
+    return order
+
+
+def _paths_to(graph: Mapping[str, List[str]], path: List[str], target: str) -> List[List[str]]:
+    """Every extension of *path* to *target*, depth first in successor order."""
+    if path[-1] == target:
+        return [path]
+    return [
+        found
+        for successor in graph[path[-1]]
+        for found in _paths_to(graph, path + [successor], target)
+    ]
 
 
 def all_paths(workflow: Workflow) -> List[List[str]]:
     """Every source-to-sink processor path (DAG workflows only)."""
     graph = processor_graph(workflow)
-    if not nx.is_directed_acyclic_graph(graph):
-        raise WorkflowError("all_paths requires an acyclic workflow")
+    _acyclic_order(graph, "all_paths")
     sources = [p.name for p in workflow.sources()]
     sinks = [p.name for p in workflow.sinks()]
     if not sources:  # degenerate graphs: start anywhere with no predecessor
-        sources = [n for n in graph.nodes if graph.in_degree(n) == 0]
+        targets = {name for successors in graph.values() for name in successors}
+        sources = [n for n in graph if n not in targets]
     if not sinks:
-        sinks = [n for n in graph.nodes if graph.out_degree(n) == 0]
-    paths: List[List[str]] = []
-    for src in sources:
-        for dst in sinks:
-            paths.extend(nx.all_simple_paths(graph, src, dst))
-            if src == dst:
-                paths.append([src])
-    return paths
+        sinks = [n for n, successors in graph.items() if not successors]
+    return [path for src in sources for dst in sinks for path in _paths_to(graph, [src], dst)]
+
+
+def _duration(
+    workflow: Workflow, durations: Optional[Mapping[str, float]], name: str
+) -> float:
+    if durations is not None and name in durations:
+        return float(durations[name])
+    return 1.0 if workflow.processor(name).kind is ProcessorKind.SERVICE else 0.0
 
 
 def critical_path(
@@ -77,30 +120,23 @@ def critical_path(
     time; missing services default to 1.0 and sources/sinks to 0.0, so
     the unweighted call returns the path with the most services — the
     ``n_W`` of the paper's model under its constant-time hypothesis.
+    Ties go to the first predecessor in link order, then to the first
+    terminal processor in insertion order.
     """
     graph = processor_graph(workflow)
-    if not nx.is_directed_acyclic_graph(graph):
-        raise WorkflowError("critical_path requires an acyclic workflow")
-
-    def weight(name: str) -> float:
-        if durations is not None and name in durations:
-            return float(durations[name])
-        kind = workflow.processor(name).kind
-        return 1.0 if kind is ProcessorKind.SERVICE else 0.0
-
     best: Dict[str, Tuple[float, List[str]]] = {}
-    for name in nx.topological_sort(graph):
-        incoming = [best[p] for p in graph.predecessors(name)]
+    for name in _acyclic_order(graph, "critical_path"):
+        incoming = [best[p] for p in workflow.predecessors(name)]
         if incoming:
             base_cost, base_path = max(incoming, key=lambda item: item[0])
         else:
             base_cost, base_path = 0.0, []
-        best[name] = (base_cost + weight(name), base_path + [name])
+        best[name] = (base_cost + _duration(workflow, durations, name), base_path + [name])
     if not best:
         return []
     # A path links an input to an output: only terminal nodes (no
     # successors) can end the critical path.
-    terminals = [n for n in graph.nodes if graph.out_degree(n) == 0]
+    terminals = [n for n, successors in graph.items() if not successors]
     return max((best[n] for n in terminals), key=lambda item: item[0])[1]
 
 
@@ -108,14 +144,7 @@ def critical_path_length(
     workflow: Workflow, durations: Optional[Mapping[str, float]] = None
 ) -> float:
     """Total duration along the critical path."""
-    path = critical_path(workflow, durations)
-
-    def weight(name: str) -> float:
-        if durations is not None and name in durations:
-            return float(durations[name])
-        return 1.0 if workflow.processor(name).kind is ProcessorKind.SERVICE else 0.0
-
-    return sum(weight(name) for name in path)
+    return sum(_duration(workflow, durations, name) for name in critical_path(workflow, durations))
 
 
 def services_on_critical_path(workflow: Workflow) -> int:
@@ -127,17 +156,32 @@ def services_on_critical_path(workflow: Workflow) -> int:
 
 
 def find_cycles(workflow: Workflow) -> List[List[str]]:
-    """Simple cycles of the data-link graph ([] for DAG workflows)."""
+    """Simple cycles of the data-link graph ([] for DAG workflows).
+
+    Each cycle starts at its earliest processor in insertion order and
+    is found once, by a depth-first walk from that processor through
+    later ones only.  Processors Kahn's walk orders lie on no cycle.
+    """
     graph = processor_graph(workflow)
-    return [list(cycle) for cycle in nx.simple_cycles(graph)]
+    ordered = set(_kahn_order(graph))
+    rank = {name: index for index, name in enumerate(graph) if name not in ordered}
+    cycles: List[List[str]] = []
+
+    def extend(path: List[str]) -> None:
+        for successor in graph[path[-1]]:
+            if successor == path[0]:
+                cycles.append(path)
+            elif rank.get(successor, -1) > rank[path[0]] and successor not in path:
+                extend(path + [successor])
+
+    for name in rank:
+        extend([name])
+    return cycles
 
 
 def topological_order(workflow: Workflow, constraints: bool = True) -> List[str]:
     """A deterministic topological order (lexicographic tie-breaks)."""
-    graph = processor_graph(workflow, constraints=constraints)
-    if not nx.is_directed_acyclic_graph(graph):
-        raise WorkflowError("topological_order requires an acyclic workflow")
-    return list(nx.lexicographical_topological_sort(graph))
+    return _acyclic_order(processor_graph(workflow, constraints=constraints), "topological_order")
 
 
 def sequential_chains(workflow: Workflow) -> List[List[str]]:

@@ -11,6 +11,21 @@ vectors = st.lists(st.floats(-100.0, 100.0, allow_nan=False), min_size=3, max_si
 transforms = st.builds(RigidTransform.from_euler_deg, angles, vectors)
 
 
+def _elementary(axis: int, angle_deg: float) -> np.ndarray:
+    """The 3x3 rotation by *angle_deg* about coordinate axis *axis*."""
+    c, s = np.cos(np.radians(angle_deg)), np.sin(np.radians(angle_deg))
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    matrix = np.eye(3)
+    matrix[i, i], matrix[i, j], matrix[j, i], matrix[j, j] = c, -s, s, c
+    return matrix
+
+
+def _euler_matrix(angles_deg) -> np.ndarray:
+    """Extrinsic XYZ: rotate about x, then the fixed y, then the fixed z."""
+    ax, ay, az = angles_deg
+    return _elementary(2, az) @ _elementary(1, ay) @ _elementary(0, ax)
+
+
 class TestGroupProperties:
     @given(transforms)
     def test_inverse_involution(self, t):
@@ -39,6 +54,42 @@ class TestGroupProperties:
         before = np.linalg.norm(p - q)
         after = np.linalg.norm(t.apply(p) - t.apply(q))
         assert abs(before - after) < 1e-8 * max(1.0, before)
+
+
+class TestMatrixOracle:
+    """The quaternion algebra against plain 3x3 rotation matrices."""
+
+    @given(angles, vectors, angles, vectors)
+    def test_quaternion_algebra_matches_matrices(self, a_deg, a_t, b_deg, b_t):
+        a = RigidTransform.from_euler_deg(a_deg, a_t)
+        b = RigidTransform.from_euler_deg(b_deg, b_t)
+        ra, rb = _euler_matrix(a_deg), _euler_matrix(b_deg)
+        np.testing.assert_allclose(a.rotation, ra, rtol=0, atol=1e-12)
+
+        composed = a.compose(b)
+        np.testing.assert_allclose(composed.rotation, ra @ rb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(composed.translation, ra @ b_t + a_t, rtol=0, atol=1e-12)
+
+        inverse = a.inverse()
+        np.testing.assert_allclose(inverse.rotation, ra.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(inverse.translation, -ra.T @ a_t, rtol=0, atol=1e-12)
+
+        points = np.array([b_t, a_t, [1.0, -2.0, 3.0]])
+        np.testing.assert_allclose(a.apply(points), points @ ra.T + a_t, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.apply(points[2]), ra @ points[2] + a_t, rtol=0, atol=1e-12)
+
+    @given(angles, angles)
+    def test_rotation_distance_matches_trace(self, a_deg, b_deg):
+        a = RigidTransform.from_euler_deg(a_deg, [0.0, 0.0, 0.0])
+        b = RigidTransform.from_euler_deg(b_deg, [0.0, 0.0, 0.0])
+        relative = _euler_matrix(a_deg) @ _euler_matrix(b_deg).T
+        cosine = (np.trace(relative) - 1.0) / 2.0
+        distance = a.rotation_distance_deg(b)
+        # The angle is arccos((trace - 1) / 2), but arccos turns the
+        # oracle's own ~1e-16 trace error into ~1e-6 degrees near 0 and
+        # 180; the cosine pins the same angle on [0, 180] to 1e-12.
+        assert abs(np.cos(np.radians(distance)) - cosine) <= 1e-12
+        assert abs(distance - np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0)))) <= 1e-5
 
 
 class TestMetricsProperties:

@@ -11,7 +11,7 @@ from repro.workflow.analysis import (
     services_on_critical_path,
     topological_order,
 )
-from repro.workflow.graph import WorkflowError
+from repro.workflow.graph import Processor, Workflow, WorkflowError
 from repro.workflow.patterns import (
     chain_workflow,
     diamond_workflow,
@@ -36,6 +36,11 @@ class TestPaths:
         wf = figure2_workflow(local_factory)
         with pytest.raises(WorkflowError):
             all_paths(wf)
+
+    def test_isolated_processor_is_one_path(self):
+        wf = Workflow()
+        wf.add_processor(Processor(name="A", input_ports=("x",), output_ports=("y",)))
+        assert all_paths(wf) == [["A"]]
 
 
 class TestCriticalPath:
@@ -67,6 +72,14 @@ class TestCycles:
         cycles = find_cycles(figure2_workflow(local_factory))
         assert len(cycles) == 1
         assert set(cycles[0]) == {"P2", "P3"}
+
+    def test_each_cycle_once_from_its_earliest_processor(self):
+        wf = Workflow()
+        for name in ("A", "B", "C"):
+            wf.add_processor(Processor(name=name, input_ports=("x",), output_ports=("y",)))
+        for link in ("A:y -> B:x", "B:y -> A:x", "B:y -> C:x", "C:y -> B:x", "C:y -> C:x"):
+            wf.add_link(*link.split(" -> "))
+        assert find_cycles(wf) == [["A", "B"], ["B", "C"], ["C"]]
 
 
 class TestTopologicalOrder:
@@ -157,3 +170,60 @@ class TestSequentialChains:
         app = BronzeStandardApplication(engine, ideal_grid, streams)
         chains = sequential_chains(app.workflow)
         assert chains == [["crestLines", "crestMatch"], ["PFMatchICP", "PFRegister"]]
+
+
+class TestPinnedWalks:
+    """Walk orders recorded when networkx computed them: the stdlib
+    walks must reproduce them exactly (order included)."""
+
+    @pytest.fixture
+    def bronze(self, engine, streams, ideal_grid):
+        from repro.apps.bronze_standard import BronzeStandardApplication
+
+        return BronzeStandardApplication(engine, ideal_grid, streams).workflow
+
+    def test_bronze_standard(self, bronze):
+        order = [
+            "floatingImage", "methodToTest", "referenceImage", "scale", "crestLines",
+            "crestMatch", "Baladin", "PFMatchICP", "PFRegister", "Yasmina",
+            "MultiTransfoTest", "accuracy_rotation", "accuracy_translation",
+        ]
+        assert topological_order(bronze) == order
+        assert topological_order(bronze, constraints=False) == order
+        assert find_cycles(bronze) == []
+        assert critical_path(bronze) == [
+            "floatingImage", "crestLines", "crestMatch", "PFMatchICP", "PFRegister",
+            "MultiTransfoTest", "accuracy_rotation",
+        ]
+        crest = ["crestLines", "crestMatch"]
+        registrations = [["Baladin"], ["Yasmina"], ["PFMatchICP", "PFRegister"]]
+        image_middles = [crest + r for r in registrations] + [crest] + registrations
+        middles = {
+            "referenceImage": image_middles,
+            "floatingImage": image_middles,
+            "scale": [crest + r for r in registrations] + [crest],
+            "methodToTest": [[]],
+        }
+        assert all_paths(bronze) == [
+            [source, *middle, "MultiTransfoTest", sink]
+            for source, source_middles in middles.items()
+            for sink in ("accuracy_rotation", "accuracy_translation")
+            for middle in source_middles
+        ]
+
+    def test_diamond(self, local_factory):
+        wf = diamond_workflow(local_factory)
+        assert topological_order(wf) == ["source", "A", "B", "C", "D", "sink"]
+        assert find_cycles(wf) == []
+        assert all_paths(wf) == [
+            ["source", "A", "B", "D", "sink"],
+            ["source", "A", "C", "D", "sink"],
+        ]
+        assert critical_path(wf) == ["source", "A", "B", "D", "sink"]
+
+    def test_figure2(self, local_factory):
+        wf = figure2_workflow(local_factory)
+        assert find_cycles(wf) == [["P2", "P3"]]
+        for walk in (topological_order, all_paths, critical_path):
+            with pytest.raises(WorkflowError):
+                walk(wf)

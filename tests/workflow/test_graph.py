@@ -146,11 +146,6 @@ class TestWorkflowInspection:
         wf.add_link("B:y", "A:x")
         assert not wf.is_dag()
 
-    def test_to_networkx(self, simple):
-        graph = simple.to_networkx()
-        assert set(graph.nodes) == {"src", "P1", "out"}
-        assert graph.number_of_edges() == 2
-
     def test_copy_is_independent(self, simple):
         clone = simple.copy()
         clone.add_sink("extra")
